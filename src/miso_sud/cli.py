@@ -118,10 +118,7 @@ def network_config(net: MisoNetwork) -> dict:
 def _two_user_from_network(net: MisoNetwork) -> TwoUserChannel:
     if net.m != 2:
         raise ConfigError("this subcommand needs a two-user config")
-    return TwoUserChannel(
-        h1=net.h(0, 0), h2=net.h(1, 0), h3=net.h(0, 1), h4=net.h(1, 1),
-        p1=net.powers[0], p2=net.powers[1], field=net.field,
-    )
+    return TwoUserChannel.from_network(net)
 
 
 def _load_config_file(path: str) -> dict:
@@ -234,18 +231,6 @@ def _add_common(p, network: bool = True):
                        help="write the parsed config back out and continue")
     p.add_argument("--nats", action="store_true", help="rates in nats instead of bits")
     p.add_argument("--out", help="output path (default stdout)")
-    p.add_argument("--threads", type=int, default=None,
-                   help="parallelism cap (sweeps are deterministic regardless)")
-
-
-def _resolve_threads(args) -> int:
-    val = args.threads
-    if val is None:
-        env = os.environ.get("MISO_SUD_THREADS", "")
-        val = int(env) if env else 1
-    if val < 1:
-        raise ConfigError("--threads must be at least 1")
-    return val
 
 
 def _prepare_network(args):
@@ -259,28 +244,19 @@ def _prepare_network(args):
 
 
 def _cmd_region2(args):
+    """region2, or ilregion with the caps from --q1/--q2 or the config's 'q'."""
     net = _prepare_network(args)
     ch = _two_user_from_network(net)
-    samples = two_user_region(ch, args.grid1 or args.grid, args.grid2 or args.grid,
-                              nats=args.nats)
-    if args.pareto:
-        samples = pareto_prune_samples(iter(samples))
-    _emit_samples(samples, net, args.out, with_beams=True)
-    return 0
-
-
-def _cmd_ilregion(args):
-    net = _prepare_network(args)
-    ch = _two_user_from_network(net)
-    cfg_q = _load_config_file(args.config).get("q", [None, None])
-    q1 = args.q1 if args.q1 is not None else cfg_q[0]
-    q2 = args.q2 if args.q2 is not None else cfg_q[1]
-    if q1 is None or q2 is None:
-        raise ConfigError("ilregion needs interference caps --q1/--q2 (or 'q' in the config)")
-    samples = interference_limited_region(
-        ch, float(q1), float(q2), args.grid1 or args.grid, args.grid2 or args.grid,
-        nats=args.nats,
-    )
+    grids = (args.grid1 or args.grid, args.grid2 or args.grid)
+    if args.command == "ilregion":
+        cfg_q = _load_config_file(args.config).get("q", [None, None])
+        q1 = args.q1 if args.q1 is not None else cfg_q[0]
+        q2 = args.q2 if args.q2 is not None else cfg_q[1]
+        if q1 is None or q2 is None:
+            raise ConfigError("ilregion needs interference caps --q1/--q2 (or 'q' in the config)")
+        samples = interference_limited_region(ch, float(q1), float(q2), *grids, nats=args.nats)
+    else:
+        samples = two_user_region(ch, *grids, nats=args.nats)
     if args.pareto:
         samples = pareto_prune_samples(iter(samples))
     _emit_samples(samples, net, args.out, with_beams=True)
@@ -431,23 +407,18 @@ def build_parser() -> argparse.ArgumentParser:
                                  "networks under single-user detection")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("region2", help="two-user region sweep")
-    _add_common(p)
-    p.add_argument("--grid", type=int, default=181)
-    p.add_argument("--grid1", type=int, default=0)
-    p.add_argument("--grid2", type=int, default=0)
-    p.add_argument("--pareto", action="store_true")
-    p.set_defaults(func=_cmd_region2)
-
-    p = sub.add_parser("ilregion", help="two-user sweep under interference caps")
-    _add_common(p)
-    p.add_argument("--grid", type=int, default=181)
-    p.add_argument("--grid1", type=int, default=0)
-    p.add_argument("--grid2", type=int, default=0)
-    p.add_argument("--q1", type=float, default=None)
-    p.add_argument("--q2", type=float, default=None)
-    p.add_argument("--pareto", action="store_true")
-    p.set_defaults(func=_cmd_ilregion)
+    for name, caps in (("region2", False), ("ilregion", True)):
+        p = sub.add_parser(name, help="two-user sweep under interference caps"
+                           if caps else "two-user region sweep")
+        _add_common(p)
+        p.add_argument("--grid", type=int, default=181)
+        p.add_argument("--grid1", type=int, default=0)
+        p.add_argument("--grid2", type=int, default=0)
+        if caps:
+            p.add_argument("--q1", type=float, default=None)
+            p.add_argument("--q2", type=float, default=None)
+        p.add_argument("--pareto", action="store_true")
+        p.set_defaults(func=_cmd_region2)
 
     for name, need in (("region3", 3), ("regionm", None)):
         p = sub.add_parser(name, help=f"{'three' if need else 'm'}-user region sweep")
@@ -494,8 +465,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if hasattr(args, "threads"):
-            _resolve_threads(args)
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -28,9 +28,14 @@ __all__ = [
     "lift_covariance",
     "powers_closed_form",
     "gamma_from_angles",
+    "rank_one_rows",
     "rank_one_table",
     "best_rank_one_sweep",
 ]
+
+# relative tail norm below which an interferer adds no direction (rounding
+# leaves about 1e-16 for a cross channel in the span of earlier ones)
+_VACUOUS_TAIL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -84,10 +89,14 @@ class ReducedFrame:
 def reduce_interference_frame(h_own, h_interf) -> ReducedFrame:
     """Compress interference constraints into a leading mbar-dim block.
 
-    Step j applies a block unitary that is the identity on the first j-1
-    coordinates and rotates the tail of interferer j onto its first tail
-    coordinate, which leaves earlier interferers untouched and produces the
-    upper-triangular support pattern.
+    Each interferer in turn gets a block unitary that is the identity on the
+    coordinates reserved so far and rotates the interferer's tail onto the
+    next coordinate, which leaves earlier interferers untouched and produces
+    the upper-triangular support pattern.  An interferer whose tail vanishes
+    (a zero cross channel, or one in the span of earlier ones) already lies
+    in the reserved block and reserves no coordinate, so mbar is the rank of
+    the cross channels, at most min(t, m-1), and h_hat is the own channel
+    projected off their span.
     """
     h_own = np.atleast_1d(np.asarray(h_own))
     vecs = [np.atleast_1d(np.asarray(v)) for v in h_interf]
@@ -96,22 +105,28 @@ def reduce_interference_frame(h_own, h_interf) -> ReducedFrame:
         if v.size != t:
             raise ValueError("all channel vectors must share the transmitter dimension")
     m1 = len(vecs)
-    mbar = min(t, m1)
     cplx = np.iscomplexobj(h_own) or any(np.iscomplexobj(v) for v in vecs)
     dtype = complex if cplx else float
     transform = np.eye(t, dtype=dtype)
     own = h_own.astype(dtype)
     work = [v.astype(dtype) for v in vecs]
 
-    if mbar > 0:
-        for j in range(min(m1, t)):
-            tail = work[j][j:]
-            u = unitary_completion(tail)
-            uh = u.conj().T
-            own[j:] = uh @ own[j:]
-            for k in range(j, m1):
-                work[k][j:] = uh @ work[k][j:]
-            transform[:, j:] = transform[:, j:] @ u
+    mbar = 0
+    for j in range(m1):
+        if mbar == t:
+            break
+        tail = work[j][mbar:]
+        if np.linalg.norm(tail) <= _VACUOUS_TAIL * np.linalg.norm(vecs[j]):
+            # later steps leave this vector unrotated, so clear its noise tail
+            tail[:] = 0.0
+            continue
+        u = unitary_completion(tail)
+        uh = u.conj().T
+        own[mbar:] = uh @ own[mbar:]
+        for k in range(j, m1):
+            work[k][mbar:] = uh @ work[k][mbar:]
+        transform[:, mbar:] = transform[:, mbar:] @ u
+        mbar += 1
 
     return ReducedFrame(
         transform=transform,
@@ -196,6 +211,43 @@ def powers_closed_form(norm0, norm1, norm2, theta01, theta12, theta02, p, psi1, 
     return signal, z1sq, z2sq
 
 
+def rank_one_rows(frame: ReducedFrame, p: float, psis, omegas=None):
+    """Own signal, leaks and beams of one transmitter at rows of sweep angles.
+
+    psis (and omegas, if given) are n x mbar arrays, one row per sample.
+    Returns (gammas, signal, zsq, beams) as described in rank_one_table.
+    """
+    n = psis.shape[0]
+    gam = gamma_from_angles(psis, omegas) if frame.mbar else np.zeros((n, 0))
+
+    own_proj = gam @ frame.h_low.conj() if frame.mbar else np.zeros(n)
+    hat_norm = float(np.linalg.norm(frame.h_hat))
+    slack = np.sqrt(np.maximum(1.0 - np.sum(np.abs(gam) ** 2, axis=1), 0.0))
+    signal = p * (np.abs(own_proj) + hat_norm * slack) ** 2
+    if frame.hj_low:
+        cross = np.stack([v.conj() for v in frame.hj_low], axis=1)
+        zsq = p * np.abs(gam @ cross) ** 2
+    else:
+        zsq = np.zeros((n, 0))
+
+    # beamformer realizing the lift: reduced part sqrt(P)*gamma, residual part
+    # phase-aligned with the own-signal contribution
+    t = frame.dim
+    cplx = np.iscomplexobj(gam) or np.iscomplexobj(frame.transform)
+    kappa = np.zeros((n, t), dtype=complex if cplx else float)
+    kappa[:, : frame.mbar] = np.sqrt(p) * gam
+    if t > frame.mbar and hat_norm > 0.0:
+        mag = np.abs(own_proj)
+        if cplx:
+            align = np.where(mag > 0.0, own_proj / np.where(mag > 0.0, mag, 1.0), 1.0)
+        else:
+            align = np.where(own_proj < 0.0, -1.0, 1.0)
+        resid = (np.sqrt(p) * slack * align)[:, None] * (frame.h_hat / hat_norm)
+        kappa[:, frame.mbar:] = resid
+    beams = kappa @ frame.transform.T
+    return gam, signal, zsq, beams
+
+
 def rank_one_table(frame: ReducedFrame, p: float, psi_axes, omega_axes=None):
     """Cartesian sweep table over one transmitter's spherical parameters.
 
@@ -222,36 +274,8 @@ def rank_one_table(frame: ReducedFrame, p: float, psi_axes, omega_axes=None):
         angles = np.stack([g.ravel() for g in mesh], axis=1)
     else:
         angles = np.zeros((1, 0))
-    psis = angles[:, :n_psi]
     omegas = angles[:, n_psi:] if use_omega else None
-    gam = gamma_from_angles(psis, omegas) if frame.mbar else np.zeros((angles.shape[0], 0))
-
-    own_proj = gam @ frame.h_low.conj() if frame.mbar else np.zeros(angles.shape[0])
-    hat_norm = float(np.linalg.norm(frame.h_hat))
-    slack = np.sqrt(np.maximum(1.0 - np.sum(np.abs(gam) ** 2, axis=1), 0.0))
-    signal = p * (np.abs(own_proj) + hat_norm * slack) ** 2
-    if frame.hj_low:
-        cross = np.stack([v.conj() for v in frame.hj_low], axis=1)
-        zsq = p * np.abs(gam @ cross) ** 2
-    else:
-        zsq = np.zeros((angles.shape[0], 0))
-
-    # beamformer realizing the lift: reduced part sqrt(P)*gamma, residual part
-    # phase-aligned with the own-signal contribution
-    t = frame.dim
-    cplx = np.iscomplexobj(gam) or np.iscomplexobj(frame.transform)
-    kappa = np.zeros((angles.shape[0], t), dtype=complex if cplx else float)
-    kappa[:, : frame.mbar] = np.sqrt(p) * gam
-    if t > frame.mbar and hat_norm > 0.0:
-        mag = np.abs(own_proj)
-        if cplx:
-            align = np.where(mag > 0.0, own_proj / np.where(mag > 0.0, mag, 1.0), 1.0)
-        else:
-            align = np.where(own_proj < 0.0, -1.0, 1.0)
-        resid = (np.sqrt(p) * slack * align)[:, None] * (frame.h_hat / hat_norm)
-        kappa[:, frame.mbar:] = resid
-    beams = kappa @ frame.transform.T
-    return angles, gam, signal, zsq, beams
+    return (angles,) + rank_one_rows(frame, p, angles[:, :n_psi], omegas)
 
 
 def best_rank_one_sweep(h_own, caps, p, grid: int = 0, rounds: int = 12,

@@ -489,7 +489,7 @@ def weighted_sum_boundary(net: MisoNetwork, mu, resolution: int = 0,
                           nats: bool = False):
     """Best weighted sum of rates over a brute-force sweep; returns the rates.
 
-    For two users the sweep is the closed-form region grid; for more users
+    For two users the sweep is the two-user region grid; for more users
     it is the general spherical grid sweep.  The default resolution is 181
     points per angle for two users and 41 for three or more.
     """
@@ -501,11 +501,8 @@ def weighted_sum_boundary(net: MisoNetwork, mu, resolution: int = 0,
     if resolution <= 0:
         resolution = 181 if net.m == 2 else 41
     if net.m == 2:
-        ch = TwoUserChannel(
-            h1=net.h(0, 0), h2=net.h(1, 0), h3=net.h(0, 1), h4=net.h(1, 1),
-            p1=net.powers[0], p2=net.powers[1], field=net.field,
-        )
-        samples = two_user_region(ch, resolution, resolution, nats=nats)
+        samples = two_user_region(TwoUserChannel.from_network(net), resolution,
+                                  resolution, nats=nats)
         rates = np.array([s.rates for s in samples])
     else:
         rates = np.array([s.rates for s in m_user_region(net, grid=resolution, nats=nats)])

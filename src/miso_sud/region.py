@@ -16,7 +16,7 @@ import numpy as np
 from .mreduce import (
     ReducedFrame,
     SphericalParams,
-    gamma_from_angles,
+    rank_one_rows,
     rank_one_table,
     reduce_interference_frame,
 )
@@ -118,39 +118,41 @@ def rate_from_sinr(sinr, prefactor: float = 1.0, nats: bool = False):
     return prefactor * val
 
 
-def _interferer_order(m: int, i: int) -> list:
-    return [j for j in range(m) if j != i]
-
-
 def _user_frame(net: MisoNetwork, i: int, order=None) -> tuple[ReducedFrame, list]:
-    order = list(order) if order is not None else _interferer_order(net.m, i)
+    order = list(order) if order is not None else [j for j in range(net.m) if j != i]
     frame = reduce_interference_frame(net.h(i, i), [net.h(i, j) for j in order])
     return frame, order
 
 
 class _UserTable:
-    """Precomputed sweep table of one transmitter (internal)."""
+    """Sweep rows of one transmitter: params, signal, leaks, beams (internal).
 
-    __slots__ = ("frame", "targets", "angles", "signal", "zsq", "beams", "n_psi")
+    targets[c] is the receiver that leak column c of zsq reaches.
+    """
 
-    def __init__(self, frame, targets, psi_axes, omega_axes, power):
-        self.frame = frame
+    __slots__ = ("targets", "params", "signal", "zsq", "beams")
+
+    def __init__(self, targets, angles, n_psi, signal, zsq, beams):
         self.targets = targets
-        self.n_psi = frame.mbar
-        angles, _, signal, zsq, beams = rank_one_table(frame, power, psi_axes, omega_axes)
-        self.angles = angles
+        # built once per row, since the cross product revisits every row
+        self.params = [
+            SphericalParams(row[:n_psi], row[n_psi:] if row.size > n_psi else None)
+            for row in angles
+        ]
         self.signal = signal
         self.zsq = zsq
-        self.beams = beams
+        # one read-only array per row, shared by every sample that uses it
+        beams.setflags(write=False)
+        self.beams = list(beams)
 
     def __len__(self):
-        return self.angles.shape[0]
+        return len(self.params)
 
-    def params(self, k: int) -> SphericalParams:
-        row = self.angles[k]
-        psi = row[: self.n_psi]
-        omega = row[self.n_psi:] if row.size > self.n_psi else None
-        return SphericalParams(psi, omega)
+
+def _grid_table(frame: ReducedFrame, targets, power: float, psi_axes,
+                omega_axes=None) -> _UserTable:
+    angles, _, signal, zsq, beams = rank_one_table(frame, power, psi_axes, omega_axes)
+    return _UserTable(targets, angles, frame.mbar, signal, zsq, beams)
 
 
 def _default_axes(frame: ReducedFrame, grid: int, complex_field: bool):
@@ -164,57 +166,47 @@ def _default_axes(frame: ReducedFrame, grid: int, complex_field: bool):
     return psi_axes, omega_axes
 
 
+def _emit_rows(net: MisoNetwork, tables, idx, nats: bool):
+    """RegionSamples whose user i takes row idx[i][r] of its table, r = 0, 1, ..."""
+    m = net.m
+    sig = np.stack([tables[i].signal[idx[i]] for i in range(m)], axis=0)
+    itf = np.zeros_like(sig)
+    inter = np.zeros((sig.shape[1], m, m))
+    for j, t in enumerate(tables):
+        zj = t.zsq[idx[j]]
+        for c, rx in enumerate(t.targets):
+            itf[rx] += zj[:, c]
+        inter[:, j, j] = sig[j]
+        inter[:, j, t.targets] = zj
+    rates = rate_from_sinr(sig / (1.0 + itf), net.prefactor, nats).T.tolist()
+    for r, ks in enumerate(np.stack(idx, axis=1).tolist()):
+        yield RegionSample(
+            params=tuple(t.params[k] for t, k in zip(tables, ks)),
+            rates=tuple(rates[r]),
+            beamformers=tuple(t.beams[k] for t, k in zip(tables, ks)),
+            interference=inter[r].copy(),
+        )
+
+
 def _emit_cross(net: MisoNetwork, tables, nats: bool, chunk: int = 8192):
     """Stream RegionSamples over the cross product of per-user tables."""
-    m = net.m
-    pref = net.prefactor
     sizes = [len(t) for t in tables]
     total = int(np.prod(sizes))
-    col_of = []
-    for i, t in enumerate(tables):
-        lookup = {rx: c for c, rx in enumerate(t.targets)}
-        col_of.append(lookup)
     for start in range(0, total, chunk):
         flat = np.arange(start, min(start + chunk, total))
-        idx = np.unravel_index(flat, sizes)
-        sig = np.stack([tables[i].signal[idx[i]] for i in range(m)], axis=0)
-        itf = np.zeros_like(sig)
-        for j in range(m):
-            zj = tables[j].zsq[idx[j]]
-            for rx, c in col_of[j].items():
-                itf[rx] += zj[:, c]
-        rates = rate_from_sinr(sig / (1.0 + itf), pref, nats)
-        for r in range(flat.size):
-            ks = [int(idx[i][r]) for i in range(m)]
-            inter = np.zeros((m, m))
-            for j in range(m):
-                inter[j, j] = sig[j, r]
-                zj = tables[j].zsq[ks[j]]
-                for rx, c in col_of[j].items():
-                    inter[j, rx] = zj[c]
-            yield RegionSample(
-                params=tuple(tables[i].params(ks[i]) for i in range(m)),
-                rates=tuple(float(rates[i, r]) for i in range(m)),
-                beamformers=tuple(tables[i].beams[ks[i]].copy() for i in range(m)),
-                interference=inter,
-            )
+        yield from _emit_rows(net, tables, np.unravel_index(flat, sizes), nats)
 
 
 def _random_stream(net: MisoNetwork, seed: int, count: int, nats: bool, chunk: int = 8192):
-    m = net.m
-    pref = net.prefactor
+    """Stream RegionSamples whose angles are drawn i.i.d. uniform, user by user."""
     rng = np.random.default_rng(seed)
-    frames = []
-    for i in range(m):
-        frame, order = _user_frame(net, i)
-        frames.append((frame, order))
+    frames = [_user_frame(net, i) for i in range(net.m)]
     cplx = net.field == "complex"
     done = 0
     while done < count:
         n = min(chunk, count - done)
-        per_user = []
-        for i in range(m):
-            frame, order = frames[i]
+        tables = []
+        for i, (frame, order) in enumerate(frames):
             mbar = frame.mbar
             psis = rng.uniform(0.0, np.pi, size=(n, mbar))
             if cplx and mbar > 1:
@@ -224,52 +216,10 @@ def _random_stream(net: MisoNetwork, seed: int, count: int, nats: bool, chunk: i
                 )
             else:
                 omegas = np.zeros((n, mbar))
-            per_user.append((frame, order, psis, omegas))
-        sig = np.zeros((m, n))
-        itf = np.zeros((m, n))
-        store = []
-        for i in range(m):
-            frame, order, psis, omegas = per_user[i]
-            gam = gamma_from_angles(psis, omegas if np.any(omegas) else None)
-            p = net.powers[i]
-            own_proj = gam @ frame.h_low.conj() if frame.mbar else np.zeros(n)
-            hat_norm = float(np.linalg.norm(frame.h_hat))
-            slackv = np.sqrt(np.maximum(1.0 - np.sum(np.abs(gam) ** 2, axis=1), 0.0))
-            sig[i] = p * (np.abs(own_proj) + hat_norm * slackv) ** 2
-            if frame.hj_low:
-                cross = np.stack([v.conj() for v in frame.hj_low], axis=1)
-                zsq = p * np.abs(gam @ cross) ** 2
-            else:
-                zsq = np.zeros((n, 0))
-            for c, rx in enumerate(order):
-                itf[rx] += zsq[:, c]
-            t = frame.dim
-            kappa = np.zeros((n, t), dtype=complex if np.iscomplexobj(gam) or cplx else float)
-            kappa[:, : frame.mbar] = np.sqrt(p) * gam
-            if t > frame.mbar and hat_norm > 0.0:
-                mag = np.abs(own_proj)
-                align = np.where(mag > 0.0, own_proj / np.where(mag > 0.0, mag, 1.0), 1.0)
-                kappa[:, frame.mbar:] = (np.sqrt(p) * slackv * align)[:, None] * (
-                    frame.h_hat / hat_norm
-                )
-            beams = kappa @ frame.transform.T
-            store.append((psis, omegas, zsq, beams, order))
-        rates = rate_from_sinr(sig / (1.0 + itf), pref, nats)
-        for r in range(n):
-            inter = np.zeros((m, m))
-            for j in range(m):
-                inter[j, j] = sig[j, r]
-                zsq, order = store[j][2], store[j][4]
-                for c, rx in enumerate(order):
-                    inter[j, rx] = zsq[r, c]
-            yield RegionSample(
-                params=tuple(
-                    SphericalParams(store[i][0][r], store[i][1][r]) for i in range(m)
-                ),
-                rates=tuple(float(rates[i, r]) for i in range(m)),
-                beamformers=tuple(store[i][3][r].copy() for i in range(m)),
-                interference=inter,
-            )
+            _, signal, zsq, beams = rank_one_rows(frame, net.powers[i], psis, omegas)
+            angles = np.concatenate([psis, omegas], axis=1)
+            tables.append(_UserTable(order, angles, mbar, signal, zsq, beams))
+        yield from _emit_rows(net, tables, [np.arange(n)] * net.m, nats)
         done += n
 
 
@@ -283,19 +233,9 @@ def m_user_region(net: MisoNetwork, grid: int = 24, sampler: str = "grid",
     user); sampler 'random' draws ``count`` i.i.d. uniform tuples from a
     seeded generator.  Samples arrive in deterministic order either way.
     """
-    if net.m < 2:
-        raise ValueError("need at least two users")
     if all(p == 0.0 for p in net.powers):
-        frames = [_user_frame(net, i) for i in range(net.m)]
-        yield RegionSample(
-            params=tuple(SphericalParams((0.0,) * f.mbar) for f, _ in frames),
-            rates=(0.0,) * net.m,
-            beamformers=tuple(
-                np.zeros(f.dim, dtype=complex if net.field == "complex" else float)
-                for f, _ in frames
-            ),
-            interference=np.zeros((net.m, net.m)),
-        )
+        # every beam is zero, so the whole region is the origin
+        yield zf_point(net, nats)
         return
     if sampler == "random":
         yield from _random_stream(net, seed, count, nats)
@@ -316,7 +256,7 @@ def m_user_region(net: MisoNetwork, grid: int = 24, sampler: str = "grid",
                 raise ValueError("explicit axes must cover each reduced dimension")
         else:
             psi_axes, omega_axes = _default_axes(frame, grid, cplx)
-        tables.append(_UserTable(frame, order, psi_axes, omega_axes, net.powers[i]))
+        tables.append(_grid_table(frame, order, net.powers[i], psi_axes, omega_axes))
     yield from _emit_cross(net, tables, nats)
 
 
@@ -341,7 +281,7 @@ def zf_point(net: MisoNetwork, nats: bool = False) -> RegionSample:
     for i in range(net.m):
         frame, order = _user_frame(net, i)
         psi_axes = [np.zeros(1)] * frame.mbar
-        tables.append(_UserTable(frame, order, psi_axes, None, net.powers[i]))
+        tables.append(_grid_table(frame, order, net.powers[i], psi_axes))
     return next(_emit_cross(net, tables, nats))
 
 
@@ -390,14 +330,13 @@ def single_user_max_surface(net: MisoNetwork, user: int, grid: int = 24,
                 psi_pin = np.zeros(frame.mbar)
             psi_axes = [np.array([v]) for v in psi_pin]
         else:
-            order = [user] + [j for j in range(net.m) if j not in (i, user)]
-            frame = reduce_interference_frame(
-                net.h(i, i), [net.h(i, j) for j in order]
+            frame, order = _user_frame(
+                net, i, [user] + [j for j in range(net.m) if j not in (i, user)]
             )
             psi_axes = [np.zeros(1)] + [np.linspace(0.0, np.pi, grid)] * (frame.mbar - 1)
             if frame.mbar == 0:
                 psi_axes = []
-        tables.append(_UserTable(frame, order, psi_axes, None, net.powers[i]))
+        tables.append(_grid_table(frame, order, net.powers[i], psi_axes))
     yield from _emit_cross(net, tables, nats)
 
 

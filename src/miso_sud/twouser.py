@@ -2,7 +2,8 @@
 
 For two users the per-transmitter problem of maximizing own-signal power at a
 fixed interference level has an explicit solution, so the whole rate region
-boundary is a two-angle sweep.  This module also carries the
+boundary is a two-angle sweep, run on the m-user engine of
+:mod:`miso_sud.region`.  This module also carries the
 interference-limited variant, the scalar-channel sum-rate maximum, and the
 frequency-division baseline with its beats-zero-forcing threshold.
 """
@@ -15,8 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .numlin import FeasibilityError, unitary_completion
-from .region import MisoNetwork, RegionSample, rate_from_sinr
-from .mreduce import SphericalParams
+from .region import MisoNetwork, _emit_cross, _grid_table, _user_frame, rate_from_sinr
 
 __all__ = [
     "TwoUserChannel",
@@ -69,6 +69,16 @@ class TwoUserChannel:
     @property
     def prefactor(self) -> float:
         return 0.5 if self.field == "real" else 1.0
+
+    @classmethod
+    def from_network(cls, net: MisoNetwork) -> "TwoUserChannel":
+        """The two-user view of a network with m = 2 (inverse of as_network)."""
+        if net.m != 2:
+            raise ValueError("a two-user channel needs a network with m = 2")
+        return cls(
+            h1=net.h(0, 0), h2=net.h(1, 0), h3=net.h(0, 1), h4=net.h(1, 1),
+            p1=net.powers[0], p2=net.powers[1], field=net.field,
+        )
 
     def as_network(self) -> MisoNetwork:
         return MisoNetwork(
@@ -169,42 +179,23 @@ def max_signal_given_interference(h1, h3, p: float, z: float):
     return gamma, float(value)
 
 
-def _sweep_tables(ch: TwoUserChannel, bar1: float, bar2: float,
-                  grid1: int, grid2: int):
+def _engine_sweep(ch: TwoUserChannel, bars, grid1: int, grid2: int,
+                  nats: bool) -> list:
+    """Cross product of psi_i in linspace(0, bars[i], grid_i) on the m-user engine.
+
+    The table row at psi is max_signal_given_interference at the level
+    sqrt(p) * ||h_cross|| * sin(psi).  A zero cross channel leaves no angle
+    (mbar = 0): that user's one row is its matched filter, with empty psi.
+    """
     if grid1 < 2 or grid2 < 2:
         raise ValueError("grid sizes must be at least 2")
-    psis1 = np.linspace(0.0, bar1, grid1)
-    psis2 = np.linspace(0.0, bar2, grid2)
-    n3 = float(np.linalg.norm(ch.h3))
-    n2 = float(np.linalg.norm(ch.h2))
-    t1 = [max_signal_given_interference(ch.h1, ch.h3, ch.p1, np.sqrt(ch.p1) * n3 * np.sin(ps))
-          for ps in psis1]
-    t2 = [max_signal_given_interference(ch.h4, ch.h2, ch.p2, np.sqrt(ch.p2) * n2 * np.sin(ps))
-          for ps in psis2]
-    z1sq = ch.p1 * n3**2 * np.sin(psis1) ** 2
-    z2sq = ch.p2 * n2**2 * np.sin(psis2) ** 2
-    return psis1, psis2, t1, t2, z1sq, z2sq
-
-
-def _assemble(ch: TwoUserChannel, bars, grid1: int, grid2: int,
-              nats: bool = False) -> list:
-    psis1, psis2, t1, t2, z1sq, z2sq = _sweep_tables(ch, bars[0], bars[1], grid1, grid2)
-    pref = ch.prefactor
-    out = []
-    for i1, ps1 in enumerate(psis1):
-        g1, v1 = t1[i1]
-        for i2, ps2 in enumerate(psis2):
-            g2, v2 = t2[i2]
-            r1 = rate_from_sinr(v1 / (1.0 + z2sq[i2]), pref, nats)
-            r2 = rate_from_sinr(v2 / (1.0 + z1sq[i1]), pref, nats)
-            inter = np.array([[v1, z1sq[i1]], [z2sq[i2], v2]])
-            out.append(RegionSample(
-                params=(SphericalParams((float(ps1),)), SphericalParams((float(ps2),))),
-                rates=(float(r1), float(r2)),
-                beamformers=(g1, g2),
-                interference=inter,
-            ))
-    return out
+    net = ch.as_network()
+    tables = []
+    for i, (bar, grid) in enumerate(zip(bars, (grid1, grid2))):
+        frame, order = _user_frame(net, i)
+        psi_axes = [np.linspace(0.0, bar, grid)] * frame.mbar
+        tables.append(_grid_table(frame, order, net.powers[i], psi_axes))
+    return list(_emit_cross(net, tables, nats))
 
 
 def two_user_region(ch: TwoUserChannel, grid1: int = 181, grid2: int = 181,
@@ -217,7 +208,7 @@ def two_user_region(ch: TwoUserChannel, grid1: int = 181, grid2: int = 181,
     """
     angles = AngleParams.from_channel(ch)
     bars = (np.pi / 2 - angles.theta1, np.pi / 2 - angles.theta2)
-    return _assemble(ch, bars, grid1, grid2, nats)
+    return _engine_sweep(ch, bars, grid1, grid2, nats)
 
 
 def interference_limited_region(ch: TwoUserChannel, q1: float, q2: float,
@@ -243,7 +234,7 @@ def interference_limited_region(ch: TwoUserChannel, q1: float, q2: float,
             continue
         cap = np.arcsin(np.sqrt(np.clip(q / (p * nc**2), 0.0, 1.0)))
         bars.append(min(np.pi / 2 - theta, cap))
-    return _assemble(ch, tuple(bars), grid1, grid2, nats)
+    return _engine_sweep(ch, bars, grid1, grid2, nats)
 
 
 def scalar_sud_sum_rate(p1: float, p2: float, a: float, b: float,

@@ -266,19 +266,6 @@ class TestErrorPaths:
         assert main(["region2", "--config", str(bad)]) == 1
         assert "not valid JSON" in capsys.readouterr().err
 
-    def test_threads_zero(self, tmp_path, capsys):
-        src = cfg_path(tmp_path, "fig3")
-        assert main(["zf", "--config", src, "--threads", "0"]) == 1
-        assert "--threads" in capsys.readouterr().err
-
-    def test_threads_env(self, tmp_path, capsys, monkeypatch):
-        src = cfg_path(tmp_path, "fig3")
-        monkeypatch.setenv("MISO_SUD_THREADS", "0")
-        assert main(["zf", "--config", src]) == 1
-        monkeypatch.setenv("MISO_SUD_THREADS", "2")
-        capsys.readouterr()
-        assert main(["zf", "--config", src]) == 0
-
     def test_unknown_suite(self, capsys):
         assert main(["verify", "--suite", "bogus"]) == 1
 

@@ -1,5 +1,7 @@
 """Region assembly: sweeps, special points, Pareto filtering, convex hull."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from miso_sud.region import (
     three_user_region,
     zf_point,
 )
-from miso_sud.twouser import AngleParams, two_user_region
+from miso_sud.twouser import AngleParams, max_signal_given_interference, two_user_region
 from tests.conftest import (
     H1,
     ZF_TRIPLE,
@@ -93,6 +95,34 @@ class TestZfPoint:
         assert s.rates[0] == pytest.approx(np.log2(7.0), abs=1e-10)
         assert s.rates[1] == pytest.approx(np.log2(7.0), abs=1e-10)
 
+    @pytest.mark.parametrize("case", ["zero", "collinear", "t1", "t1_zero", "complex"])
+    def test_matches_projection_off_cross_span(self, case):
+        # each zero-forcing rate is that of the own channel projected off the
+        # span of its cross channels, also when a cross channel adds no
+        # direction of its own
+        rng = np.random.default_rng(32)
+        m, t, cplx = {"zero": (2, 2, False), "collinear": (3, 3, False),
+                      "t1": (2, 1, False), "t1_zero": (2, 1, False),
+                      "complex": (3, 3, True)}[case]
+        chans = [random_vector(rng, t * m, cplx).reshape(t, m) for _ in range(m)]
+        if case in ("zero", "t1_zero"):
+            chans[0][:, 1] = 0.0
+        elif m == 3:
+            # user 0's cross channels into receivers 1 and 2 are collinear
+            chans[0][:, 2] = -2.5 * chans[0][:, 1]
+        net = MisoNetwork(channels=tuple(chans), powers=(1.5,) * m,
+                          field="complex" if cplx else "real")
+        s = zf_point(net)
+        for i in range(m):
+            own = net.h(i, i)
+            cross = np.stack([net.h(i, j) for j in range(m) if j != i], axis=1)
+            u, sv, _ = np.linalg.svd(cross, full_matrices=False)
+            span = u[:, sv > 1e-9 * sv.max()] if sv.max() > 0.0 else u[:, :0]
+            resid = own - span @ (span.conj().T @ own)
+            want = rate_from_sinr(net.powers[i] * np.linalg.norm(resid) ** 2, net.prefactor)
+            assert s.rates[i] == pytest.approx(want, rel=1e-12, abs=1e-12)
+            assert np.all(np.abs(np.delete(s.interference[i], i)) <= 1e-12)
+
     def test_no_zero_forcing_direction_gives_zero_rate(self):
         net = MisoNetwork(channels=(np.array([[1.0, 1.0]]), np.array([[0.5, 2.0]])),
                           powers=(1.0, 1.0), field="real")
@@ -155,19 +185,34 @@ class TestThreeUserRegion:
 
 class TestMUserRegion:
     def test_two_user_equivalence_on_matched_axes(self):
+        # every sample, in sweep order, against max_signal_given_interference
+        # at that sample's psi; a vanished cross channel leaks nothing
         rng = np.random.default_rng(30)
-        for _ in range(10):
-            ch = random_pair_channel(rng)
+        chans = [random_pair_channel(rng, cplx=c) for c in (False, True) for _ in range(5)]
+        zero = random_pair_channel(rng, dim=3, cplx=False)
+        chans.append(replace(zero, h3=np.zeros(3)))
+        grids = (9, 7)
+        for ch in chans:
             ang = AngleParams.from_channel(ch)
-            grid = 9
-            axes = [[np.linspace(0.0, np.pi / 2 - ang.theta1, grid)],
-                    [np.linspace(0.0, np.pi / 2 - ang.theta2, grid)]]
-            got = sorted(s.rates for s in m_user_region(ch.as_network(), axes=axes))
-            want = sorted(s.rates for s in two_user_region(ch, grid, grid))
-            assert len(got) == len(want)
-            for a, b in zip(got, want):
-                assert a[0] == pytest.approx(b[0], abs=1e-9)
-                assert a[1] == pytest.approx(b[1], abs=1e-9)
+            users = ((ch.h1, ch.h3, ch.p1, ang.theta1), (ch.h4, ch.h2, ch.p2, ang.theta2))
+            samples = two_user_region(ch, *grids)
+            keys = [tuple(p.psi for p in s.params) for s in samples]
+            assert keys == sorted(keys)
+            for i, ((_, cross, _, theta), grid) in enumerate(zip(users, grids)):
+                if np.linalg.norm(cross) > 0.0:
+                    seen = sorted({s.params[i].psi[0] for s in samples})
+                    assert seen == list(np.linspace(0.0, np.pi / 2 - theta, grid))
+            for s in samples:
+                sig, leak = [], []
+                for (own, cross, p, _), params in zip(users, s.params):
+                    psi = params.psi[0] if params.psi else 0.0
+                    z = np.sqrt(p) * np.linalg.norm(cross) * np.sin(psi)
+                    sig.append(max_signal_given_interference(own, cross, p, z)[1])
+                    leak.append(z * z)
+                want = (rate_from_sinr(sig[0] / (1.0 + leak[1]), ch.prefactor),
+                        rate_from_sinr(sig[1] / (1.0 + leak[0]), ch.prefactor))
+                for got, w in zip(s.rates, want):
+                    assert got == pytest.approx(w, rel=1e-12, abs=1e-12)
 
     def test_all_powers_zero(self):
         net = MisoNetwork(channels=(np.eye(2), np.eye(2)), powers=(0.0, 0.0),
