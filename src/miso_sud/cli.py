@@ -28,7 +28,6 @@ from .region import (
     zf_point,
 )
 from .twouser import (
-    TwoUserChannel,
     fdm_region,
     fdm_zf_threshold,
     interference_limited_region,
@@ -48,11 +47,11 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _entry_to_number(entry, cplx: bool):
+def _entry_to_number(entry):
     if isinstance(entry, (list, tuple)):
         if len(entry) != 2:
             raise ConfigError("complex entries must be [re, im] pairs")
-        return complex(float(entry[0]), float(entry[1])) if cplx else None
+        return complex(float(entry[0]), float(entry[1]))
     return float(entry)
 
 
@@ -69,14 +68,8 @@ def _parse_channels(raw, field: str):
     for block in raw:
         cols = []
         for col in block:
-            vals = []
-            for e in col:
-                if isinstance(e, (list, tuple)):
-                    v = _entry_to_number(e, True)
-                else:
-                    v = complex(float(e), 0.0) if has_pairs else float(e)
-                vals.append(v)
-            cols.append(vals)
+            vals = [_entry_to_number(e) for e in col]
+            cols.append([complex(v) for v in vals] if has_pairs else vals)
         mats.append(np.array(cols).T)
     return tuple(mats)
 
@@ -92,8 +85,6 @@ def load_network(cfg: dict, force_real: bool = False) -> MisoNetwork:
     if force_real:
         field = "real"
     channels = _parse_channels(raw, field)
-    if field == "real" and any(np.iscomplexobj(h) for h in channels):
-        raise ConfigError("real field requested but channel entries have imaginary parts")
     try:
         return MisoNetwork(channels=channels, powers=powers, field=field)
     except ValueError as exc:
@@ -115,10 +106,10 @@ def network_config(net: MisoNetwork) -> dict:
     return {"channels": chans, "powers": list(net.powers), "field": net.field}
 
 
-def _two_user_from_network(net: MisoNetwork) -> TwoUserChannel:
+def _two_user_from_network(net: MisoNetwork) -> MisoNetwork:
     if net.m != 2:
         raise ConfigError("this subcommand needs a two-user config")
-    return TwoUserChannel.from_network(net)
+    return net
 
 
 def _load_config_file(path: str) -> dict:
@@ -172,11 +163,8 @@ def _beam_values(beam, cplx: bool):
     return vals
 
 
-def _write_rows(path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    text = "\n".join(lines) + "\n"
+def _write_text(path, text: str):
+    """Write text to the file at path, or to stdout when path is None."""
     if path is None:
         sys.stdout.write(text)
     else:
@@ -184,8 +172,20 @@ def _write_rows(path, header, rows):
             fh.write(text)
 
 
+def _write_rows(path, header, rows):
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(_fmt(v) for v in row))
+    _write_text(path, "\n".join(lines) + "\n")
+
+
 def _emit_samples(samples, net, out, with_beams):
-    """Stream samples into sorted CSV rows keyed by their angle tuples."""
+    """Stream samples into sorted CSV rows keyed by their angle tuples.
+
+    The psi1..psiK columns are each user's mbar_i angles concatenated in user
+    order, where mbar_i is the rank of user i's cross channels, so a user
+    whose cross channels vanish adds no column; omega columns follow suit.
+    """
     it = iter(samples)
     try:
         first = next(it)
@@ -237,16 +237,13 @@ def _prepare_network(args):
     cfg = _load_config_file(args.config)
     net = load_network(cfg, force_real=args.real)
     if getattr(args, "dump_config", None):
-        with open(args.dump_config, "w", encoding="utf-8") as fh:
-            json.dump(network_config(net), fh, indent=2)
-            fh.write("\n")
+        _write_text(args.dump_config, json.dumps(network_config(net), indent=2) + "\n")
     return net
 
 
 def _cmd_region2(args):
     """region2, or ilregion with the caps from --q1/--q2 or the config's 'q'."""
-    net = _prepare_network(args)
-    ch = _two_user_from_network(net)
+    net = _two_user_from_network(_prepare_network(args))
     grids = (args.grid1 or args.grid, args.grid2 or args.grid)
     if args.command == "ilregion":
         cfg_q = _load_config_file(args.config).get("q", [None, None])
@@ -254,9 +251,9 @@ def _cmd_region2(args):
         q2 = args.q2 if args.q2 is not None else cfg_q[1]
         if q1 is None or q2 is None:
             raise ConfigError("ilregion needs interference caps --q1/--q2 (or 'q' in the config)")
-        samples = interference_limited_region(ch, float(q1), float(q2), *grids, nats=args.nats)
+        samples = interference_limited_region(net, float(q1), float(q2), *grids, nats=args.nats)
     else:
-        samples = two_user_region(ch, *grids, nats=args.nats)
+        samples = two_user_region(net, *grids, nats=args.nats)
     if args.pareto:
         samples = pareto_prune_samples(iter(samples))
     _emit_samples(samples, net, args.out, with_beams=True)
@@ -285,9 +282,8 @@ def _cmd_zf(args):
 
 
 def _cmd_fdm(args):
-    net = _prepare_network(args)
-    ch = _two_user_from_network(net)
-    points = fdm_region(ch, grid=args.grid, nats=args.nats)
+    net = _two_user_from_network(_prepare_network(args))
+    points = fdm_region(net, grid=args.grid, nats=args.nats)
     alphas = np.linspace(0.0, 1.0, args.grid)
     rows = [[float(a), p.r1, p.r2] for a, p in zip(alphas, points)]
     _write_rows(args.out, ["alpha", "R1", "R2"], rows)
@@ -298,12 +294,7 @@ def _cmd_scalar_sum(args):
     rate, corner = scalar_sud_sum_rate(args.p1, args.p2, args.a, args.b,
                                        nats=args.nats)
     doc = {"sum_rate": rate, "argmax": list(corner)}
-    text = json.dumps(doc, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_text(args.out or None, json.dumps(doc, indent=2) + "\n")
     return 0
 
 
@@ -392,12 +383,7 @@ _SUITES = {"example1": _suite_example1, "fig7": _suite_fig7, "eq79": _suite_eq79
 
 def _cmd_verify(args):
     report = _SUITES[args.suite]()
-    text = json.dumps(report, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_text(args.out or None, json.dumps(report, indent=2) + "\n")
     return 0 if report["pass"] else 3
 
 

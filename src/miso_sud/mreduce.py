@@ -28,6 +28,7 @@ __all__ = [
     "lift_covariance",
     "powers_closed_form",
     "gamma_from_angles",
+    "default_axes",
     "rank_one_rows",
     "rank_one_table",
     "best_rank_one_sweep",
@@ -248,6 +249,22 @@ def rank_one_rows(frame: ReducedFrame, p: float, psis, omegas=None):
     return gam, signal, zsq, beams
 
 
+def default_axes(mbar: int, grid: int, phases: bool):
+    """Uniform sweep axes: grid polar angles on [0, pi] per reduced dimension.
+
+    With phases, each dimension after the first also sweeps grid phases on
+    [0, 2 pi); the first phase is a global phase of the reduced direction,
+    so it is pinned to 0.  Returns (psi_axes, omega_axes or None).
+    """
+    psi_axes = [np.linspace(0.0, np.pi, grid)] * mbar
+    omega_axes = None
+    if phases and mbar > 1:
+        omega_axes = [np.zeros(1)] + [
+            np.linspace(0.0, 2 * np.pi, grid, endpoint=False)
+        ] * (mbar - 1)
+    return psi_axes, omega_axes
+
+
 def rank_one_table(frame: ReducedFrame, p: float, psi_axes, omega_axes=None):
     """Cartesian sweep table over one transmitter's spherical parameters.
 
@@ -299,34 +316,28 @@ def best_rank_one_sweep(h_own, caps, p, grid: int = 0, rounds: int = 12,
         grid = {0: 2, 1: 41, 2: 41, 3: 15, 4: 11}.get(min(n_axes, 4), 7)
     zoom_pts = 9 if n_axes <= 2 else (5 if n_axes == 3 else 3)
     n_seeds = 1 if n_axes <= 2 else (4 if n_axes == 3 else 6)
-    use_omega = complex_phases and mbar > 1
+    psi_axes, omega_axes = default_axes(mbar, grid, complex_phases)
+    use_omega = omega_axes is not None
+
+    def table(psi_axes, omega_axes):
+        """Sweep rows at the given axes and the mask of rows within every cap."""
+        angles, _, signal, zsq, beams = rank_one_table(frame, p, psi_axes, omega_axes)
+        return angles, signal, zsq, beams, np.all(zsq <= bounds + tol, axis=1)
 
     def evaluate(psi_axes, omega_axes):
-        angles, _, signal, zsq, beams = rank_one_table(frame, p, psi_axes, omega_axes)
-        feas = np.all(zsq <= bounds[None, :] + tol, axis=1) if bounds.size else np.ones(
-            angles.shape[0], dtype=bool
-        )
+        angles, signal, _, beams, feas = table(psi_axes, omega_axes)
         if not np.any(feas):
             return None
         idx = int(np.flatnonzero(feas)[np.argmax(signal[feas])])
         return signal[idx], angles[idx], beams[idx]
 
-    psi_axes = [np.linspace(0.0, np.pi, grid)] * mbar
-    omega_axes = None
-    if use_omega:
-        omega_axes = [np.zeros(1)] + [np.linspace(0.0, 2 * np.pi, grid, endpoint=False)] * (
-            mbar - 1
-        )
     spacing = np.array(
         [np.pi / max(grid - 1, 1)] * mbar
         + ([2 * np.pi / grid] * mbar if use_omega else [])
     )
 
     def top_candidates():
-        angles, _, signal, zsq, beams = rank_one_table(frame, p, psi_axes, omega_axes)
-        feas = np.all(zsq <= bounds[None, :] + tol, axis=1) if bounds.size else np.ones(
-            angles.shape[0], dtype=bool
-        )
+        angles, signal, _, beams, feas = table(psi_axes, omega_axes)
         if not np.any(feas):
             # psi = 0 is always feasible (zero interference); the grid
             # contains it, so reaching here means caps are negative or
@@ -357,8 +368,8 @@ def best_rank_one_sweep(h_own, caps, p, grid: int = 0, rounds: int = 12,
         om_ax = None
         if use_omega:
             om_ax = [np.zeros(1)] + [np.array([v]) for v in x[mbar:]]
-        _, _, sig, zs, beams = rank_one_table(frame, p, psi_ax, om_ax)
-        return float(sig[0]), zs[0], beams[0]
+        _, sig, zs, beams, feas = table(psi_ax, om_ax)
+        return float(sig[0]), zs[0], beams[0], bool(feas[0])
 
     def polish(seed):
         free = mbar + (mbar - 1 if use_omega else 0)
@@ -377,14 +388,14 @@ def best_rank_one_sweep(h_own, caps, p, grid: int = 0, rounds: int = 12,
         x = np.asarray(res.x, dtype=float)
         if not np.all(np.isfinite(x)):
             return seed
-        val, zs, beam = table_at(x)
-        if bounds.size and np.any(zs > bounds + tol):
+        val, _, beam, feas = table_at(x)
+        if not feas:
             # walk back toward the feasible start until the caps hold again
             ts = np.linspace(1.0, 0.0, 33)[1:]
             for t in ts:
                 xt = x0 + t * (x - x0)
-                val, zs, beam = table_at(xt)
-                if not bounds.size or np.all(zs <= bounds + tol):
+                val, _, beam, feas = table_at(xt)
+                if feas:
                     x = xt
                     break
             else:

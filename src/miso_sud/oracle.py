@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import nnls
 
-from .numlin import FeasibilityError, eig_hermitian, hermitize
+from .numlin import FeasibilityError, eig_hermitian, hermitize, project_psd
 from .region import MisoNetwork, m_user_region
-from .twouser import TwoUserChannel, two_user_region
+from .twouser import two_user_region
 
 __all__ = [
     "ConstrainedMaxProblem",
@@ -83,21 +83,21 @@ class OracleReport:
     certificate: dict = field(default_factory=dict)
 
 
-def _cap_residuals(prob: ConstrainedMaxProblem, s: np.ndarray) -> np.ndarray:
-    res = []
+def _cap_gaps(prob: ConstrainedMaxProblem, s: np.ndarray) -> list:
+    """Per-cap violation: |v - bound| for equality caps, (v - bound)+ for upper."""
+    gaps = []
     for vec, bound, kind in prob.caps:
         v = float(np.real(vec.conj() @ s @ vec))
-        res.append(abs(v - bound) if kind == "equality" else max(v - bound, 0.0))
+        gaps.append(abs(v - bound) if kind == "equality" else max(v - bound, 0.0))
+    return gaps
+
+
+def _cap_residuals(prob: ConstrainedMaxProblem, s: np.ndarray) -> np.ndarray:
+    res = _cap_gaps(prob, s)
     res.append(max(float(np.real(np.trace(s))) - prob.p, 0.0))
     lam = eig_hermitian(hermitize(s, tol=1e-6))[0]
     res.append(max(-float(lam[0]), 0.0))
     return np.array(res)
-
-
-def _project_psd(s: np.ndarray) -> np.ndarray:
-    lam, q = eig_hermitian(hermitize(s, tol=np.inf))
-    lam = np.maximum(lam, 0.0)
-    return (q * lam) @ q.conj().T
 
 
 def _project_trace(s: np.ndarray, p: float) -> np.ndarray:
@@ -122,12 +122,7 @@ def _project_cap(s: np.ndarray, vec: np.ndarray, lo: float, hi: float) -> np.nda
 
 def _violation(prob: ConstrainedMaxProblem, s: np.ndarray) -> float:
     """Worst cap or trace violation, assuming s is already PSD."""
-    worst = max(float(np.real(np.trace(s))) - prob.p, 0.0)
-    for vec, bound, kind in prob.caps:
-        v = float(np.real(vec.conj() @ s @ vec))
-        gap = abs(v - bound) if kind == "equality" else max(v - bound, 0.0)
-        worst = max(worst, gap)
-    return worst
+    return max([max(float(np.real(np.trace(s))) - prob.p, 0.0)] + _cap_gaps(prob, s))
 
 
 def _dykstra(s, prob: ConstrainedMaxProblem, band: float, sweeps: int, tol: float):
@@ -141,7 +136,7 @@ def _dykstra(s, prob: ConstrainedMaxProblem, band: float, sweeps: int, tol: floa
         lo = bound - band if kind == "equality" else 0.0
         hi = bound + band
         projections.append(lambda m, v=vec, a=lo, b=hi: _project_cap(m, v, a, b))
-    projections.append(lambda m: _project_psd(m))
+    projections.append(project_psd)
     increments = [np.zeros_like(s) for _ in projections]
     for sweep in range(sweeps):
         for k, proj in enumerate(projections):
@@ -501,8 +496,7 @@ def weighted_sum_boundary(net: MisoNetwork, mu, resolution: int = 0,
     if resolution <= 0:
         resolution = 181 if net.m == 2 else 41
     if net.m == 2:
-        samples = two_user_region(TwoUserChannel.from_network(net), resolution,
-                                  resolution, nats=nats)
+        samples = two_user_region(net, resolution, resolution, nats=nats)
         rates = np.array([s.rates for s in samples])
     else:
         rates = np.array([s.rates for s in m_user_region(net, grid=resolution, nats=nats)])

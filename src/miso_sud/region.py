@@ -16,6 +16,7 @@ import numpy as np
 from .mreduce import (
     ReducedFrame,
     SphericalParams,
+    default_axes,
     rank_one_rows,
     rank_one_table,
     reduce_interference_frame,
@@ -155,17 +156,6 @@ def _grid_table(frame: ReducedFrame, targets, power: float, psi_axes,
     return _UserTable(targets, angles, frame.mbar, signal, zsq, beams)
 
 
-def _default_axes(frame: ReducedFrame, grid: int, complex_field: bool):
-    psi_axes = [np.linspace(0.0, np.pi, grid)] * frame.mbar
-    omega_axes = None
-    if complex_field and frame.mbar > 1:
-        # the first phase is a global phase of the reduced direction; pin it
-        omega_axes = [np.zeros(1)] + [
-            np.linspace(0.0, 2 * np.pi, grid, endpoint=False)
-        ] * (frame.mbar - 1)
-    return psi_axes, omega_axes
-
-
 def _emit_rows(net: MisoNetwork, tables, idx, nats: bool):
     """RegionSamples whose user i takes row idx[i][r] of its table, r = 0, 1, ..."""
     m = net.m
@@ -255,7 +245,7 @@ def m_user_region(net: MisoNetwork, grid: int = 24, sampler: str = "grid",
             if len(psi_axes) != frame.mbar:
                 raise ValueError("explicit axes must cover each reduced dimension")
         else:
-            psi_axes, omega_axes = _default_axes(frame, grid, cplx)
+            psi_axes, omega_axes = default_axes(frame.mbar, grid, cplx)
         tables.append(_grid_table(frame, order, net.powers[i], psi_axes, omega_axes))
     yield from _emit_cross(net, tables, nats)
 

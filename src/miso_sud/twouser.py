@@ -10,7 +10,6 @@ frequency-division baseline with its beats-zero-forcing threshold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -20,7 +19,7 @@ from .region import MisoNetwork, _emit_cross, _grid_table, _user_frame, rate_fro
 
 __all__ = [
     "TwoUserChannel",
-    "AngleParams",
+    "cross_angles",
     "RatePair",
     "max_signal_given_interference",
     "two_user_region",
@@ -32,62 +31,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TwoUserChannel:
-    """Two-user network: h1, h4 direct and h2, h3 cross channel vectors.
+class TwoUserChannel(MisoNetwork):
+    """Two-user network in the paper's notation: h1, h4 direct, h2, h3 cross.
 
     Receiver 1 sees h1 from its own transmitter and h2 from the other;
     receiver 2 sees h4 from its own and h3 from transmitter 1.  Noise is
-    unit variance, so p1, p2 are noise-normalized budgets.
+    unit variance, so p1, p2 are noise-normalized budgets.  The result is
+    the m = 2 MisoNetwork with h(0, 0) = h1, h(0, 1) = h3, h(1, 0) = h2 and
+    h(1, 1) = h4.
     """
 
-    h1: np.ndarray
-    h2: np.ndarray
-    h3: np.ndarray
-    h4: np.ndarray
-    p1: float
-    p2: float
-    field: str = "complex"
-
-    def __post_init__(self):
-        vecs = {k: np.atleast_1d(np.asarray(getattr(self, k))) for k in ("h1", "h2", "h3", "h4")}
-        if vecs["h1"].size != vecs["h3"].size:
-            raise ValueError("h1 and h3 must share transmitter 1's dimension")
-        if vecs["h2"].size != vecs["h4"].size:
-            raise ValueError("h2 and h4 must share transmitter 2's dimension")
-        if self.p1 < 0 or self.p2 < 0:
-            raise ValueError("powers must be non-negative")
-        if self.field not in ("real", "complex"):
-            raise ValueError("field must be 'real' or 'complex'")
-        if self.field == "real" and any(np.iscomplexobj(v) for v in vecs.values()):
-            raise ValueError("real-field channel has complex entries")
-        for k, v in vecs.items():
-            object.__setattr__(self, k, v)
-        object.__setattr__(self, "p1", float(self.p1))
-        object.__setattr__(self, "p2", float(self.p2))
-
-    @property
-    def prefactor(self) -> float:
-        return 0.5 if self.field == "real" else 1.0
-
-    @classmethod
-    def from_network(cls, net: MisoNetwork) -> "TwoUserChannel":
-        """The two-user view of a network with m = 2 (inverse of as_network)."""
-        if net.m != 2:
-            raise ValueError("a two-user channel needs a network with m = 2")
-        return cls(
-            h1=net.h(0, 0), h2=net.h(1, 0), h3=net.h(0, 1), h4=net.h(1, 1),
-            p1=net.powers[0], p2=net.powers[1], field=net.field,
-        )
-
-    def as_network(self) -> MisoNetwork:
-        return MisoNetwork(
-            channels=(
-                np.stack([self.h1, self.h3], axis=1),
-                np.stack([self.h2, self.h4], axis=1),
-            ),
-            powers=(self.p1, self.p2),
-            field=self.field,
+    def __init__(self, h1, h2, h3, h4, p1, p2, field="complex"):
+        super().__init__(
+            channels=(np.stack([h1, h3], axis=1), np.stack([h2, h4], axis=1)),
+            powers=(p1, p2),
+            field=field,
         )
 
 
@@ -101,23 +59,15 @@ def _pair_angle(direct, cross) -> float:
     return float(np.arccos(np.clip(c, 0.0, 1.0)))
 
 
-@dataclass(frozen=True)
-class AngleParams:
-    """Channel angles theta_i in [0, pi/2] plus sweep angles psi_i."""
+def _require_two_users(net: MisoNetwork):
+    if net.m != 2:
+        raise ValueError("a two-user function needs a network with m = 2")
 
-    theta1: float
-    theta2: float
-    psi1: float = 0.0
-    psi2: float = 0.0
 
-    @classmethod
-    def from_channel(cls, ch: TwoUserChannel, psi1: float = 0.0, psi2: float = 0.0):
-        return cls(
-            theta1=_pair_angle(ch.h1, ch.h3),
-            theta2=_pair_angle(ch.h4, ch.h2),
-            psi1=float(psi1),
-            psi2=float(psi2),
-        )
+def cross_angles(net: MisoNetwork) -> tuple:
+    """Angles theta_i in [0, pi/2] between user i's direct and cross channel."""
+    _require_two_users(net)
+    return tuple(_pair_angle(net.h(i, i), net.h(i, 1 - i)) for i in range(2))
 
 
 class RatePair(NamedTuple):
@@ -179,7 +129,7 @@ def max_signal_given_interference(h1, h3, p: float, z: float):
     return gamma, float(value)
 
 
-def _engine_sweep(ch: TwoUserChannel, bars, grid1: int, grid2: int,
+def _engine_sweep(net: MisoNetwork, bars, grid1: int, grid2: int,
                   nats: bool) -> list:
     """Cross product of psi_i in linspace(0, bars[i], grid_i) on the m-user engine.
 
@@ -189,7 +139,6 @@ def _engine_sweep(ch: TwoUserChannel, bars, grid1: int, grid2: int,
     """
     if grid1 < 2 or grid2 < 2:
         raise ValueError("grid sizes must be at least 2")
-    net = ch.as_network()
     tables = []
     for i, (bar, grid) in enumerate(zip(bars, (grid1, grid2))):
         frame, order = _user_frame(net, i)
@@ -198,7 +147,7 @@ def _engine_sweep(ch: TwoUserChannel, bars, grid1: int, grid2: int,
     return list(_emit_cross(net, tables, nats))
 
 
-def two_user_region(ch: TwoUserChannel, grid1: int = 181, grid2: int = 181,
+def two_user_region(net: MisoNetwork, grid1: int = 181, grid2: int = 181,
                     nats: bool = False) -> list:
     """Sample the full rate region boundary sweep.
 
@@ -206,12 +155,11 @@ def two_user_region(ch: TwoUserChannel, grid1: int = 181, grid2: int = 181,
     samples carries both beamformers, both rates, and the signal and
     interference powers behind them.
     """
-    angles = AngleParams.from_channel(ch)
-    bars = (np.pi / 2 - angles.theta1, np.pi / 2 - angles.theta2)
-    return _engine_sweep(ch, bars, grid1, grid2, nats)
+    bars = tuple(np.pi / 2 - theta for theta in cross_angles(net))
+    return _engine_sweep(net, bars, grid1, grid2, nats)
 
 
-def interference_limited_region(ch: TwoUserChannel, q1: float, q2: float,
+def interference_limited_region(net: MisoNetwork, q1: float, q2: float,
                                 grid1: int = 181, grid2: int = 181,
                                 nats: bool = False) -> list:
     """Region sweep with per-receiver interference caps q1, q2.
@@ -222,19 +170,18 @@ def interference_limited_region(ch: TwoUserChannel, q1: float, q2: float,
     """
     if q1 < 0 or q2 < 0:
         raise ValueError("interference caps must be non-negative")
-    n3 = float(np.linalg.norm(ch.h3))
-    n2 = float(np.linalg.norm(ch.h2))
-    if n3 == 0.0 or n2 == 0.0:
+    thetas = cross_angles(net)
+    norms = [float(np.linalg.norm(net.h(i, 1 - i))) for i in range(2)]
+    if 0.0 in norms:
         raise FeasibilityError("interference-limited sweep needs nonzero cross channels")
-    angles = AngleParams.from_channel(ch)
     bars = []
-    for theta, q, p, nc in ((angles.theta1, q1, ch.p1, n3), (angles.theta2, q2, ch.p2, n2)):
+    for theta, q, p, nc in zip(thetas, (q1, q2), net.powers, norms):
         if p == 0.0:
             bars.append(np.pi / 2 - theta)
             continue
         cap = np.arcsin(np.sqrt(np.clip(q / (p * nc**2), 0.0, 1.0)))
         bars.append(min(np.pi / 2 - theta, cap))
-    return _engine_sweep(ch, bars, grid1, grid2, nats)
+    return _engine_sweep(net, bars, grid1, grid2, nats)
 
 
 def scalar_sud_sum_rate(p1: float, p2: float, a: float, b: float,
@@ -258,7 +205,7 @@ def scalar_sud_sum_rate(p1: float, p2: float, a: float, b: float,
     return float(vals[best]), corners[best]
 
 
-def fdm_region(ch: TwoUserChannel, grid: int = 101, nats: bool = False) -> list:
+def fdm_region(net: MisoNetwork, grid: int = 101, nats: bool = False) -> list:
     """Frequency-division baseline: bandwidth split alpha against 1 - alpha.
 
     Each user transmits over its fraction with the matched filter and no
@@ -266,9 +213,10 @@ def fdm_region(ch: TwoUserChannel, grid: int = 101, nats: bool = False) -> list:
     """
     if grid < 2:
         raise ValueError("grid must be at least 2")
-    pref = ch.prefactor
-    g1 = ch.p1 * float(np.linalg.norm(ch.h1)) ** 2
-    g2 = ch.p2 * float(np.linalg.norm(ch.h4)) ** 2
+    _require_two_users(net)
+    pref = net.prefactor
+    g1 = net.powers[0] * float(np.linalg.norm(net.h(0, 0))) ** 2
+    g2 = net.powers[1] * float(np.linalg.norm(net.h(1, 1))) ** 2
     out = []
     for alpha in np.linspace(0.0, 1.0, grid):
         r1 = alpha * rate_from_sinr(g1 / alpha, pref, nats) if alpha > 0.0 else 0.0

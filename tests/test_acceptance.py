@@ -151,10 +151,9 @@ def test_criterion_03_closed_form_vs_search(capsys):
 
 
 def test_criterion_04_boundary_vs_weighted_sum(capsys):
-    ch = build_symmetric_pair()
-    net = ch.as_network()
+    net = build_symmetric_pair()
     t0 = time.perf_counter()
-    samples = two_user_region(ch, 181, 181)
+    samples = two_user_region(net, 181, 181)
     front = _front(np.asarray([s.rates for s in samples]))
     worst_dist = 0.0
     worst_margin = -np.inf
@@ -250,7 +249,7 @@ def test_criterion_06_general_vs_rank_one_sweep(capsys):
 def test_criterion_07_interference_cap_collapse(capsys):
     ch = build_symmetric_pair()
     t0 = time.perf_counter()
-    q_max = ch.p1 * float(np.linalg.norm(ch.h3)) ** 2
+    q_max = ch.powers[0] * float(np.linalg.norm(ch.h(0, 1))) ** 2
     relaxed = interference_limited_region(ch, 2 * q_max, 2 * q_max, 41, 41)
     plain = two_user_region(ch, 41, 41)
     same = len(relaxed) == len(plain)

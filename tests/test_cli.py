@@ -1,13 +1,16 @@
 """End-to-end tests for the command-line front end."""
 
+import importlib
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import miso_sud.cli as cli
 from miso_sud.cli import bundled_config, load_network, main, network_config
-from miso_sud.twouser import scalar_sud_sum_rate
+from miso_sud.twouser import cross_angles, scalar_sud_sum_rate
 
 
 def cfg_path(tmp_path, name, **extra):
@@ -91,6 +94,20 @@ class TestRegionCommands:
         assert keys == sorted(keys)
         for r in rows[:5]:
             assert r[4] ** 2 + r[5] ** 2 <= 6.0 + 1e-9
+
+    def test_region2_psi_columns_are_per_user_angles(self, tmp_path):
+        # h3 = 0 leaves user 1 no angle, so the one psi column is user 2's
+        doc = {"field": "real", "powers": [5, 5],
+               "channels": [[[1.0, 0.2], [0.0, 0.0]], [[0.3, 0.4], [0.2, 1.0]]]}
+        src = tmp_path / "h3_zero.json"
+        src.write_text(json.dumps(doc))
+        out = tmp_path / "region.csv"
+        assert main(["region2", "--config", str(src), "--grid", "3", "--out", str(out)]) == 0
+        header, rows = read_csv(out)
+        assert header == ["psi1", "R1", "R2",
+                          "gamma1_1", "gamma1_2", "gamma2_1", "gamma2_2"]
+        theta2 = cross_angles(load_network(doc))[1]
+        assert [r[0] for r in rows] == list(np.linspace(0.0, np.pi / 2 - theta2, 3))
 
     def test_region2_deterministic(self, tmp_path):
         src = cfg_path(tmp_path, "fig3")
@@ -284,3 +301,14 @@ class TestErrorPaths:
                    "--q1", "0.1", "--q2", "0.1"])
         assert rc == 2
         assert "numerical failure" in capsys.readouterr().err
+
+
+def test_benchmark_probes_resolve():
+    # perfbench's tracer patches each (module, attribute) by name at run time
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for mod, attr, *_ in tracing.PROBES:
+        module = importlib.import_module(f"miso_sud.{mod}")
+        assert hasattr(module, attr), f"miso_sud.{mod}.{attr} is missing"

@@ -169,12 +169,12 @@ class TestRankOneSearch:
 
 class TestWeightedSumBoundary:
     def test_first_user_only(self):
-        net = build_symmetric_pair().as_network()
+        net = build_symmetric_pair()
         rates = weighted_sum_boundary(net, (1.0, 0.0), resolution=61)
         assert rates[0] == pytest.approx(np.log2(7.0), abs=1e-9)
 
     def test_symmetric_weights(self):
-        net = build_symmetric_pair().as_network()
+        net = build_symmetric_pair()
         rates = weighted_sum_boundary(net, (1.0, 1.0), resolution=61)
         assert abs(rates[0] - rates[1]) <= 0.05
         assert rates[0] + rates[1] >= 2.0 * np.log2(5.5) - 1e-9
@@ -187,7 +187,7 @@ class TestWeightedSumBoundary:
         assert 0.0 < rates[2] <= top + 1e-9
 
     def test_weight_validation(self):
-        net = build_symmetric_pair().as_network()
+        net = build_symmetric_pair()
         with pytest.raises(ValueError):
             weighted_sum_boundary(net, (1.0,))
         with pytest.raises(ValueError):

@@ -1,7 +1,5 @@
 """Region assembly: sweeps, special points, Pareto filtering, convex hull."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -18,7 +16,12 @@ from miso_sud.region import (
     three_user_region,
     zf_point,
 )
-from miso_sud.twouser import AngleParams, max_signal_given_interference, two_user_region
+from miso_sud.twouser import (
+    TwoUserChannel,
+    cross_angles,
+    max_signal_given_interference,
+    two_user_region,
+)
 from tests.conftest import (
     H1,
     ZF_TRIPLE,
@@ -77,7 +80,7 @@ class TestHelpers:
 
 class TestZfPoint:
     def test_symmetric_pair_corner(self, symmetric_pair):
-        s = zf_point(symmetric_pair.as_network())
+        s = zf_point(symmetric_pair)
         assert s.rates[0] == pytest.approx(LOG2_55, abs=1e-10)
         assert s.rates[1] == pytest.approx(LOG2_55, abs=1e-10)
         assert s.interference[0, 1] <= 1e-10
@@ -91,7 +94,7 @@ class TestZfPoint:
 
     def test_orthogonal_cross_gives_single_user_maxima(self):
         ch = build_symmetric_pair(theta=np.pi / 2)
-        s = zf_point(ch.as_network())
+        s = zf_point(ch)
         assert s.rates[0] == pytest.approx(np.log2(7.0), abs=1e-10)
         assert s.rates[1] == pytest.approx(np.log2(7.0), abs=1e-10)
 
@@ -133,7 +136,7 @@ class TestZfPoint:
 class TestThreeUserRegion:
     def test_wrong_user_count(self, symmetric_pair):
         with pytest.raises(ValueError):
-            list(three_user_region(symmetric_pair.as_network(), grid=2))
+            list(three_user_region(symmetric_pair, grid=2))
 
     def test_grid_count_and_zero_corner(self, three_user_net):
         samples = list(three_user_region(three_user_net, grid=3))
@@ -190,11 +193,14 @@ class TestMUserRegion:
         rng = np.random.default_rng(30)
         chans = [random_pair_channel(rng, cplx=c) for c in (False, True) for _ in range(5)]
         zero = random_pair_channel(rng, dim=3, cplx=False)
-        chans.append(replace(zero, h3=np.zeros(3)))
+        chans.append(TwoUserChannel(h1=zero.h(0, 0), h2=zero.h(1, 0), h3=np.zeros(3),
+                                    h4=zero.h(1, 1), p1=zero.powers[0], p2=zero.powers[1],
+                                    field=zero.field))
         grids = (9, 7)
         for ch in chans:
-            ang = AngleParams.from_channel(ch)
-            users = ((ch.h1, ch.h3, ch.p1, ang.theta1), (ch.h4, ch.h2, ch.p2, ang.theta2))
+            theta1, theta2 = cross_angles(ch)
+            users = ((ch.h(0, 0), ch.h(0, 1), ch.powers[0], theta1),
+                     (ch.h(1, 1), ch.h(1, 0), ch.powers[1], theta2))
             samples = two_user_region(ch, *grids)
             keys = [tuple(p.psi for p in s.params) for s in samples]
             assert keys == sorted(keys)
@@ -255,7 +261,7 @@ class TestSingleUserSurface:
 
     def test_validation(self, three_user_net, symmetric_pair):
         with pytest.raises(ValueError):
-            list(single_user_max_surface(symmetric_pair.as_network(), 0))
+            list(single_user_max_surface(symmetric_pair, 0))
         with pytest.raises(ValueError):
             list(single_user_max_surface(three_user_net, 5))
 

@@ -8,8 +8,8 @@ from miso_sud.numlin import FeasibilityError
 from miso_sud.oracle import ConstrainedMaxProblem, rank_one_search
 from miso_sud.region import pareto_filter
 from miso_sud.twouser import (
-    AngleParams,
     TwoUserChannel,
+    cross_angles,
     fdm_beats_zf_condition,
     fdm_region,
     fdm_zf_threshold,
@@ -129,8 +129,8 @@ class TestTwoUserRegion:
         pref = ch.prefactor
         for s in two_user_region(ch, 7, 7):
             g1, g2 = s.beamformers
-            sinr1 = abs(np.vdot(ch.h1, g1)) ** 2 / (1.0 + abs(np.vdot(ch.h2, g2)) ** 2)
-            sinr2 = abs(np.vdot(ch.h4, g2)) ** 2 / (1.0 + abs(np.vdot(ch.h3, g1)) ** 2)
+            sinr1 = abs(np.vdot(ch.h(0, 0), g1)) ** 2 / (1.0 + abs(np.vdot(ch.h(1, 0), g2)) ** 2)
+            sinr2 = abs(np.vdot(ch.h(1, 1), g2)) ** 2 / (1.0 + abs(np.vdot(ch.h(0, 1), g1)) ** 2)
             assert s.rates[0] == pytest.approx(pref * np.log2(1.0 + sinr1), abs=1e-10)
             assert s.rates[1] == pytest.approx(pref * np.log2(1.0 + sinr2), abs=1e-10)
 
@@ -164,8 +164,8 @@ class TestTwoUserRegion:
 class TestInterferenceLimited:
     def test_large_caps_reduce_to_plain_region(self, symmetric_pair):
         ch = symmetric_pair
-        qmax1 = ch.p1 * np.linalg.norm(ch.h3) ** 2 * np.cos(np.pi / 3) ** 2
-        qmax2 = ch.p2 * np.linalg.norm(ch.h2) ** 2 * np.cos(np.pi / 3) ** 2
+        qmax1 = ch.powers[0] * np.linalg.norm(ch.h(0, 1)) ** 2 * np.cos(np.pi / 3) ** 2
+        qmax2 = ch.powers[1] * np.linalg.norm(ch.h(1, 0)) ** 2 * np.cos(np.pi / 3) ** 2
         plain = two_user_region(ch, 9, 9)
         capped = interference_limited_region(ch, 2 * qmax1, 2 * qmax2, 9, 9)
         assert len(plain) == len(capped)
@@ -183,7 +183,7 @@ class TestInterferenceLimited:
 
     def test_half_cap_stays_inside(self, symmetric_pair):
         ch = symmetric_pair
-        qmax = ch.p1 * np.linalg.norm(ch.h3) ** 2 * np.cos(np.pi / 3) ** 2
+        qmax = ch.powers[0] * np.linalg.norm(ch.h(0, 1)) ** 2 * np.cos(np.pi / 3) ** 2
         q = qmax / 2.0
         capped = interference_limited_region(ch, q, q, 21, 21)
         for s in capped:
@@ -268,17 +268,23 @@ class TestFdm:
 
 class TestChannelPlumbing:
     def test_angles(self, symmetric_pair):
-        ang = AngleParams.from_channel(symmetric_pair)
-        assert ang.theta1 == pytest.approx(np.pi / 3, abs=1e-12)
-        assert ang.theta2 == pytest.approx(np.pi / 3, abs=1e-12)
+        assert cross_angles(symmetric_pair)[0] == pytest.approx(np.pi / 3, abs=1e-12)
+        assert cross_angles(symmetric_pair)[1] == pytest.approx(np.pi / 3, abs=1e-12)
 
-    def test_as_network_layout(self, symmetric_pair):
-        net = symmetric_pair.as_network()
-        assert net.m == 2
-        assert np.array_equal(net.channels[0][:, 0], symmetric_pair.h1)
-        assert np.array_equal(net.channels[0][:, 1], symmetric_pair.h3)
-        assert np.array_equal(net.channels[1][:, 0], symmetric_pair.h2)
-        assert np.array_equal(net.channels[1][:, 1], symmetric_pair.h4)
+    def test_as_network_layout(self):
+        h1, h2, h3, h4 = (np.array([1.0, k]) for k in (2.0, 3.0, 4.0, 5.0))
+        ch = TwoUserChannel(h1=h1, h2=h2, h3=h3, h4=h4, p1=1.0, p2=2.0, field="real")
+        assert ch.m == 2
+        assert np.array_equal(ch.channels[0][:, 0], h1)
+        assert np.array_equal(ch.channels[0][:, 1], h3)
+        assert np.array_equal(ch.channels[1][:, 0], h2)
+        assert np.array_equal(ch.channels[1][:, 1], h4)
+
+    def test_needs_two_users(self, three_user_net):
+        with pytest.raises(ValueError):
+            two_user_region(three_user_net, 3, 3)
+        with pytest.raises(ValueError):
+            fdm_region(three_user_net, 3)
 
     def test_dimension_validation(self):
         with pytest.raises(ValueError):
