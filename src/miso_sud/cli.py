@@ -10,6 +10,7 @@ serialized with shortest round-trip precision.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -17,6 +18,7 @@ from importlib import resources
 
 import numpy as np
 
+from .mreduce import sweeps_phases
 from .numlin import FeasibilityError, NumericalError
 from .oracle import ConstrainedMaxProblem, general_rank_solve, rank_one_search
 from .region import (
@@ -139,10 +141,6 @@ def bundled_config(name: str) -> dict:
         return json.load(fh)
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
-
-
 def _beam_columns(tag: str, length: int, cplx: bool):
     if cplx:
         cols = []
@@ -153,30 +151,32 @@ def _beam_columns(tag: str, length: int, cplx: bool):
     return [f"{tag}_{k + 1}" for k in range(length)]
 
 
-def _beam_values(beam, cplx: bool):
-    vals = []
-    for v in np.atleast_1d(beam):
-        if cplx:
-            vals.extend([float(np.real(v)), float(np.imag(v))])
-        else:
-            vals.append(float(np.real(v)))
-    return vals
-
-
-def _write_text(path, text: str):
-    """Write text to the file at path, or to stdout when path is None."""
+def _write_text(path, chunks):
+    """Write an iterable of text chunks to the file at path, or to stdout when path is None."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
-def _write_rows(path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    _write_text(path, "\n".join(lines) + "\n")
+def _write_rows(path, header, blocks):
+    """Write CSV, a header and then each block of float rows, to path or stdout.
+
+    Each value is written as repr(float), its shortest round-trip form, and
+    the text is built one block at a time.
+    """
+    def lines():
+        yield ",".join(header) + "\n"
+        for block in blocks:
+            rows = np.asarray(block, dtype=float).tolist()
+            yield "".join(",".join(map(repr, row)) + "\n" for row in rows)
+
+    _write_text(path, lines())
+
+
+# samples read from a stream, or rows formatted, per step
+_ROWS_PER_STEP = 4096
 
 
 def _emit_samples(samples, net, out, with_beams):
@@ -185,6 +185,9 @@ def _emit_samples(samples, net, out, with_beams):
     The psi1..psiK columns are each user's mbar_i angles concatenated in user
     order, where mbar_i is the rank of user i's cross channels, so a user
     whose cross channels vanish adds no column; omega columns follow suit.
+    The stream is read in blocks of float columns (psi, omega, rates, beams;
+    complex beams as interleaved re, im), and one stable sort on the angle
+    columns orders the rows.
     """
     it = iter(samples)
     try:
@@ -192,34 +195,41 @@ def _emit_samples(samples, net, out, with_beams):
     except StopIteration:
         raise NumericalError("sweep produced no samples") from None
     cplx = any(np.iscomplexobj(b) for b in first.beamformers)
-    with_omegas = net.field == "complex" and any(len(p.psi) > 1 for p in first.params)
+    widths = [len(p.psi) for p in first.params]
+    with_omegas = any(sweeps_phases(k, net.field == "complex") for k in widths)
+    sizes = [np.atleast_1d(b).size for b in first.beamformers]
 
-    n_psi = sum(len(p.psi) for p in first.params)
+    n_psi = sum(widths)
     header = [f"psi{k + 1}" for k in range(n_psi)]
     if with_omegas:
         header += [f"omega{k + 1}" for k in range(n_psi)]
+    n_key = len(header)
     header += [f"R{i + 1}" for i in range(net.m)]
     if with_beams:
-        for i, beam in enumerate(first.beamformers):
-            header += _beam_columns(f"gamma{i + 1}", np.atleast_1d(beam).size, cplx)
+        for i, size in enumerate(sizes):
+            header += _beam_columns(f"gamma{i + 1}", size, cplx)
 
-    def to_row(s):
-        key = []
-        for params in s.params:
-            key.extend(params.psi)
+    def columns(block):
+        n = len(block)
+        cols = [np.array([s.params[i].psi for s in block], dtype=float).reshape(n, k)
+                for i, k in enumerate(widths)]
         if with_omegas:
-            for params in s.params:
-                key.extend(params.omega)
-        row = list(key) + list(s.rates)
+            cols += [np.array([s.params[i].omega for s in block], dtype=float).reshape(n, k)
+                     for i, k in enumerate(widths)]
+        cols.append(np.array([s.rates for s in block], dtype=float))
         if with_beams:
-            for beam in s.beamformers:
-                row.extend(_beam_values(beam, cplx))
-        return tuple(key), row
+            for i, size in enumerate(sizes):
+                beams = np.array([s.beamformers[i] for s in block]).reshape(n, size)
+                cols.append(beams.astype(complex).view(float) if cplx else np.real(beams))
+        return np.hstack(cols)
 
-    keyed = [to_row(first)]
-    keyed.extend(to_row(s) for s in it)
-    keyed.sort(key=lambda kr: kr[0])
-    _write_rows(out, header, [r for _, r in keyed])
+    blocks = [columns([first])]
+    while block := list(itertools.islice(it, _ROWS_PER_STEP)):
+        blocks.append(columns(block))
+    rows = np.concatenate(blocks)
+    order = np.lexsort(rows[:, n_key - 1::-1].T) if n_key else np.arange(len(rows))
+    _write_rows(out, header, (rows[order[start:start + _ROWS_PER_STEP]]
+                              for start in range(0, len(rows), _ROWS_PER_STEP)))
 
 
 def _add_common(p, network: bool = True):
@@ -237,7 +247,7 @@ def _prepare_network(args):
     cfg = _load_config_file(args.config)
     net = load_network(cfg, force_real=args.real)
     if getattr(args, "dump_config", None):
-        _write_text(args.dump_config, json.dumps(network_config(net), indent=2) + "\n")
+        _write_text(args.dump_config, [json.dumps(network_config(net), indent=2) + "\n"])
     return net
 
 
@@ -268,7 +278,7 @@ def _region_m(args, need_m=None):
         net, grid=args.grid, sampler=args.sampler, seed=args.seed,
         count=args.count, nats=args.nats,
     )
-    samples = pareto_prune_samples(gen) if args.pareto else list(gen)
+    samples = pareto_prune_samples(gen) if args.pareto else gen
     _emit_samples(samples, net, args.out, with_beams=False)
     return 0
 
@@ -277,7 +287,7 @@ def _cmd_zf(args):
     net = _prepare_network(args)
     sample = zf_point(net, nats=args.nats)
     header = [f"R{i + 1}" for i in range(net.m)]
-    _write_rows(args.out, header, [list(sample.rates)])
+    _write_rows(args.out, header, [[list(sample.rates)]])
     return 0
 
 
@@ -286,7 +296,7 @@ def _cmd_fdm(args):
     points = fdm_region(net, grid=args.grid, nats=args.nats)
     alphas = np.linspace(0.0, 1.0, args.grid)
     rows = [[float(a), p.r1, p.r2] for a, p in zip(alphas, points)]
-    _write_rows(args.out, ["alpha", "R1", "R2"], rows)
+    _write_rows(args.out, ["alpha", "R1", "R2"], [rows])
     return 0
 
 
@@ -294,7 +304,7 @@ def _cmd_scalar_sum(args):
     rate, corner = scalar_sud_sum_rate(args.p1, args.p2, args.a, args.b,
                                        nats=args.nats)
     doc = {"sum_rate": rate, "argmax": list(corner)}
-    _write_text(args.out or None, json.dumps(doc, indent=2) + "\n")
+    _write_text(args.out or None, [json.dumps(doc, indent=2) + "\n"])
     return 0
 
 
@@ -303,7 +313,7 @@ def _cmd_hull(args):
     gen = m_user_region(net, grid=args.grid, nats=args.nats)
     points = pareto_hull(list(gen), mode=args.mode)
     rows = sorted(list(p) for p in points)
-    _write_rows(args.out, [f"R{i + 1}" for i in range(net.m)], rows)
+    _write_rows(args.out, [f"R{i + 1}" for i in range(net.m)], [rows])
     return 0
 
 
@@ -383,7 +393,7 @@ _SUITES = {"example1": _suite_example1, "fig7": _suite_fig7, "eq79": _suite_eq79
 
 def _cmd_verify(args):
     report = _SUITES[args.suite]()
-    _write_text(args.out or None, json.dumps(report, indent=2) + "\n")
+    _write_text(args.out or None, [json.dumps(report, indent=2) + "\n"])
     return 0 if report["pass"] else 3
 
 

@@ -28,6 +28,7 @@ __all__ = [
     "lift_covariance",
     "powers_closed_form",
     "gamma_from_angles",
+    "sweeps_phases",
     "default_axes",
     "rank_one_rows",
     "rank_one_table",
@@ -61,6 +62,14 @@ class SphericalParams:
             raise ValueError("psi and omega must have equal length")
         object.__setattr__(self, "psi", psi)
         object.__setattr__(self, "omega", omega)
+
+    @classmethod
+    def _of_floats(cls, psi: tuple, omega: tuple) -> "SphericalParams":
+        """Wrap float tuples whose lengths the caller has already checked."""
+        params = object.__new__(cls)
+        object.__setattr__(params, "psi", psi)
+        object.__setattr__(params, "omega", omega)
+        return params
 
     @property
     def mbar(self) -> int:
@@ -249,16 +258,26 @@ def rank_one_rows(frame: ReducedFrame, p: float, psis, omegas=None):
     return gam, signal, zsq, beams
 
 
+def sweeps_phases(mbar: int, complex_field: bool) -> bool:
+    """Whether a rank-one sweep of mbar reduced dimensions varies phases.
+
+    Only a complex field has phases, and with one dimension the only phase
+    is a global phase of the reduced direction, which changes no power; so
+    the first phase is pinned to 0 and the others vary when mbar > 1.
+    """
+    return complex_field and mbar > 1
+
+
 def default_axes(mbar: int, grid: int, phases: bool):
     """Uniform sweep axes: grid polar angles on [0, pi] per reduced dimension.
 
-    With phases, each dimension after the first also sweeps grid phases on
-    [0, 2 pi); the first phase is a global phase of the reduced direction,
-    so it is pinned to 0.  Returns (psi_axes, omega_axes or None).
+    With phases (see sweeps_phases), each dimension after the first also
+    sweeps grid phases on [0, 2 pi) and the first phase is pinned to 0.
+    Returns (psi_axes, omega_axes or None).
     """
     psi_axes = [np.linspace(0.0, np.pi, grid)] * mbar
     omega_axes = None
-    if phases and mbar > 1:
+    if sweeps_phases(mbar, phases):
         omega_axes = [np.zeros(1)] + [
             np.linspace(0.0, 2 * np.pi, grid, endpoint=False)
         ] * (mbar - 1)
@@ -311,7 +330,7 @@ def best_rank_one_sweep(h_own, caps, p, grid: int = 0, rounds: int = 12,
     frame = reduce_interference_frame(h_own, vecs)
     mbar = frame.mbar
     tol = 1e-9 * max(1.0, float(bounds.max()) if bounds.size else 1.0)
-    n_axes = mbar * (2 if complex_phases and mbar > 1 else 1)
+    n_axes = mbar * (2 if sweeps_phases(mbar, complex_phases) else 1)
     if grid <= 0:
         grid = {0: 2, 1: 41, 2: 41, 3: 15, 4: 11}.get(min(n_axes, 4), 7)
     zoom_pts = 9 if n_axes <= 2 else (5 if n_axes == 3 else 3)

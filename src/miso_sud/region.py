@@ -20,6 +20,7 @@ from .mreduce import (
     rank_one_rows,
     rank_one_table,
     reduce_interference_frame,
+    sweeps_phases,
 )
 
 __all__ = [
@@ -37,6 +38,11 @@ __all__ = [
 ]
 
 _LN2 = float(np.log(2.0))
+
+# candidates that pareto_filter decides in one vectorised step
+_PARETO_BLOCK = 256
+# most booleans one pareto_filter comparison holds, which bounds its memory
+_PARETO_CELLS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -136,10 +142,11 @@ class _UserTable:
     def __init__(self, targets, angles, n_psi, signal, zsq, beams):
         self.targets = targets
         # built once per row, since the cross product revisits every row
-        self.params = [
-            SphericalParams(row[:n_psi], row[n_psi:] if row.size > n_psi else None)
-            for row in angles
-        ]
+        if angles.shape[1] not in (n_psi, 2 * n_psi):
+            raise ValueError("psi and omega must have equal length")
+        zeros = (0.0,) * n_psi
+        self.params = [SphericalParams._of_floats(tuple(row[:n_psi]), tuple(row[n_psi:]) or zeros)
+                       for row in angles.tolist()]
         self.signal = signal
         self.zsq = zsq
         # one read-only array per row, shared by every sample that uses it
@@ -169,13 +176,11 @@ def _emit_rows(net: MisoNetwork, tables, idx, nats: bool):
         inter[:, j, j] = sig[j]
         inter[:, j, t.targets] = zj
     rates = rate_from_sinr(sig / (1.0 + itf), net.prefactor, nats).T.tolist()
-    for r, ks in enumerate(np.stack(idx, axis=1).tolist()):
-        yield RegionSample(
-            params=tuple(t.params[k] for t, k in zip(tables, ks)),
-            rates=tuple(rates[r]),
-            beamformers=tuple(t.beams[k] for t, k in zip(tables, ks)),
-            interference=inter[r].copy(),
-        )
+    rows = [ix.tolist() for ix in idx]
+    params = zip(*[[t.params[k] for k in ks] for t, ks in zip(tables, rows)])
+    beams = zip(*[[t.beams[k] for k in ks] for t, ks in zip(tables, rows)])
+    for p, r, b, it in zip(params, rates, beams, inter):
+        yield RegionSample(params=p, rates=tuple(r), beamformers=b, interference=it.copy())
 
 
 def _emit_cross(net: MisoNetwork, tables, nats: bool, chunk: int = 8192):
@@ -199,13 +204,9 @@ def _random_stream(net: MisoNetwork, seed: int, count: int, nats: bool, chunk: i
         for i, (frame, order) in enumerate(frames):
             mbar = frame.mbar
             psis = rng.uniform(0.0, np.pi, size=(n, mbar))
-            if cplx and mbar > 1:
-                omegas = np.concatenate(
-                    [np.zeros((n, 1)), rng.uniform(0.0, 2 * np.pi, size=(n, mbar - 1))],
-                    axis=1,
-                )
-            else:
-                omegas = np.zeros((n, mbar))
+            omegas = np.zeros((n, mbar))
+            if sweeps_phases(mbar, cplx):
+                omegas[:, 1:] = rng.uniform(0.0, 2 * np.pi, size=(n, mbar - 1))
             _, signal, zsq, beams = rank_one_rows(frame, net.powers[i], psis, omegas)
             angles = np.concatenate([psis, omegas], axis=1)
             tables.append(_UserTable(order, angles, mbar, signal, zsq, beams))
@@ -331,28 +332,49 @@ def single_user_max_surface(net: MisoNetwork, user: int, grid: int = 24,
 
 
 def _as_points(samples) -> np.ndarray:
-    pts = [np.asarray(getattr(s, "rates", s), dtype=float) for s in samples]
-    if not pts:
+    pts = np.array([getattr(s, "rates", s) for s in samples], dtype=float)
+    if not len(pts):
         raise ValueError("empty sample stream")
-    return np.vstack(pts)
+    return pts.reshape(pts.shape[0], -1)
+
+
+def _dominated(cand: np.ndarray, by: np.ndarray) -> np.ndarray:
+    """dom[a, b]: row a of ``by`` dominates row b of ``cand``.
+
+    Domination means at least as large in every coordinate and larger in
+    one; a NaN coordinate neither dominates nor is dominated.
+    """
+    ge = np.all(by[:, None, :] >= cand[None, :, :], axis=2)
+    gt = np.any(by[:, None, :] > cand[None, :, :], axis=2)
+    return ge & gt
 
 
 def pareto_filter(points: np.ndarray) -> np.ndarray:
-    """Boolean mask of componentwise-maximal rows (original order)."""
+    """Boolean mask of componentwise-maximal rows (original order).
+
+    Rows are visited by descending coordinate sum (stable), and a row is
+    dropped when a row kept before it dominates it.  Since domination is
+    transitive, that is the same as being dominated by any earlier row: so
+    each block of candidates is checked against the rows kept from earlier
+    blocks and against the earlier rows of its own block, all at once.
+    """
     pts = np.asarray(points, dtype=float)
     n = pts.shape[0]
     order = np.argsort(-pts.sum(axis=1), kind="stable")
     keep = np.zeros(n, dtype=bool)
-    kept = []
-    for idx in order:
-        p = pts[idx]
-        if kept:
-            k = np.asarray(kept)
-            dominated = np.any(np.all(k >= p, axis=1) & np.any(k > p, axis=1))
-            if dominated:
-                continue
-        keep[idx] = True
-        kept.append(p)
+    kept = pts[:0]
+    for start in range(0, n, _PARETO_BLOCK):
+        idx = order[start:start + _PARETO_BLOCK]
+        cand = pts[idx]
+        drop = np.any(np.triu(_dominated(cand, cand), k=1), axis=0)
+        step = max(1, _PARETO_CELLS // (len(idx) * max(pts.shape[1], 1)))
+        for lo in range(0, kept.shape[0], step):
+            live = ~drop
+            if not np.any(live):
+                break
+            drop[live] = np.any(_dominated(cand[live], kept[lo:lo + step]), axis=0)
+        keep[idx[~drop]] = True
+        kept = np.concatenate([kept, cand[~drop]])
     return keep
 
 

@@ -10,7 +10,16 @@ import pytest
 
 import miso_sud.cli as cli
 from miso_sud.cli import bundled_config, load_network, main, network_config
-from miso_sud.twouser import cross_angles, scalar_sud_sum_rate
+from miso_sud.mreduce import SphericalParams
+from miso_sud.numlin import NumericalError
+from miso_sud.region import MisoNetwork, RegionSample, m_user_region, three_user_region
+from miso_sud.twouser import TwoUserChannel, cross_angles, scalar_sud_sum_rate, two_user_region
+from tests.conftest import (
+    build_symmetric_pair,
+    build_three_user,
+    random_pair_channel,
+    random_vector,
+)
 
 
 def cfg_path(tmp_path, name, **extra):
@@ -301,6 +310,117 @@ class TestErrorPaths:
                    "--q1", "0.1", "--q2", "0.1"])
         assert rc == 2
         assert "numerical failure" in capsys.readouterr().err
+
+
+def _reference_csv(samples, net, with_beams) -> bytes:
+    """The per-sample formatter that cli._emit_samples replaced (a key tuple
+    and a row per sample, one sort of the tuples), kept as its reference."""
+    samples = list(samples)
+    first = samples[0]
+    cplx = any(np.iscomplexobj(b) for b in first.beamformers)
+    with_omegas = net.field == "complex" and any(len(p.psi) > 1 for p in first.params)
+    n_psi = sum(len(p.psi) for p in first.params)
+    header = [f"psi{k + 1}" for k in range(n_psi)]
+    if with_omegas:
+        header += [f"omega{k + 1}" for k in range(n_psi)]
+    header += [f"R{i + 1}" for i in range(net.m)]
+    if with_beams:
+        for i, beam in enumerate(first.beamformers):
+            for k in range(np.atleast_1d(beam).size):
+                tag = f"gamma{i + 1}_{k + 1}"
+                header += [f"{tag}_re", f"{tag}_im"] if cplx else [tag]
+    keyed = []
+    for s in samples:
+        key = [v for p in s.params for v in p.psi]
+        if with_omegas:
+            key += [v for p in s.params for v in p.omega]
+        row = key + list(s.rates)
+        if with_beams:
+            for beam in s.beamformers:
+                for v in np.atleast_1d(beam):
+                    row += [float(np.real(v)), float(np.imag(v))] if cplx else [float(np.real(v))]
+        keyed.append((tuple(key), row))
+    keyed.sort(key=lambda kr: kr[0])
+    lines = [",".join(header)] + [",".join(repr(float(v)) for v in r) for _, r in keyed]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _shuffled(samples, seed):
+    samples = list(samples)
+    return [samples[k] for k in np.random.default_rng(seed).permutation(len(samples))]
+
+
+def _signed_zero_samples():
+    """Hand-made samples: -0.0 in keys, rates and beams; tied keys out of order."""
+    psis = [(0.5, -0.0), (0.5, 0.0), (-0.0, 1.0), (0.0, 1.0), (0.5, -0.0), (0.25, 0.0)]
+    out = []
+    for k, (a, b) in enumerate(psis):
+        out.append(RegionSample(
+            params=(SphericalParams((a,), (0.0,)), SphericalParams((b,), (-0.0,))),
+            rates=(-0.0 if k % 2 else 0.1 * k, 1.0 / (k + 3)),
+            beamformers=(np.array([-0.0 + 0.0j, 1.0 - 0.0j]), np.array([-0.0, 0.5 * k])),
+            interference=np.zeros((2, 2)),
+        ))
+    return out
+
+
+def _keyless_samples():
+    """Every user without an angle: all keys are empty, so order is kept."""
+    return [RegionSample(params=(SphericalParams(()), SphericalParams(())),
+                         rates=(1.0 / (k + 1), -0.0 if k == 3 else float(k)),
+                         beamformers=(np.array([float(k), -0.0]), np.array([0.5])),
+                         interference=np.zeros((2, 2)))
+            for k in range(9)]
+
+
+def _csv_cases():
+    rng = np.random.default_rng(61)
+    real_pair = build_symmetric_pair(field="real")
+    cplx_pair = random_pair_channel(rng, dim=3, cplx=True)
+    # user 1's channels are real, so its beams stay float on a complex network
+    mixed = MisoNetwork(channels=(rng.normal(size=(3, 2)),
+                                  rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))),
+                        powers=(2.0, 3.0), field="complex")
+    h3_zero = TwoUserChannel(h1=random_vector(rng, 3, True), h2=random_vector(rng, 3, True),
+                             h3=np.zeros(3, dtype=complex), h4=random_vector(rng, 3, True),
+                             p1=2.0, p2=1.5)
+    real3, cplx3 = build_three_user("real"), build_three_user("complex")
+    return {
+        "real_beams": (real_pair, _shuffled(two_user_region(real_pair, 9, 7), 1), True),
+        "real_no_beams": (real3, _shuffled(three_user_region(real3, grid=3), 2), False),
+        "complex_beams": (cplx_pair, _shuffled(two_user_region(cplx_pair, 8, 6), 3), True),
+        "omega_no_beams": (cplx3, _shuffled(m_user_region(cplx3, grid=2), 4), False),
+        "omega_random_beams": (cplx3, list(m_user_region(cplx3, sampler="random",
+                                                          count=300, seed=5)), True),
+        "float_beam_on_complex": (mixed, _shuffled(two_user_region(mixed, 6, 5), 6), True),
+        "mbar_zero_user": (h3_zero, _shuffled(two_user_region(h3_zero, 7, 9), 7), True),
+        "signed_zeros": (cplx_pair, _signed_zero_samples(), True),
+        "no_keys": (cplx_pair, _keyless_samples(), True),
+    }
+
+
+class TestCsvWriterGolden:
+    @pytest.mark.parametrize("step", [5, 4096])
+    @pytest.mark.parametrize("case", sorted(_csv_cases()))
+    def test_matches_reference_bytes(self, case, step, tmp_path, monkeypatch):
+        net, samples, with_beams = _csv_cases()[case]
+        monkeypatch.setattr(cli, "_ROWS_PER_STEP", step)
+        out = tmp_path / "out.csv"
+        cli._emit_samples(iter(samples), net, str(out), with_beams)
+        assert out.read_bytes() == _reference_csv(samples, net, with_beams)
+
+    def test_float_beam_case_mixes_dtypes(self):
+        _, samples, _ = _csv_cases()["float_beam_on_complex"]
+        assert [np.iscomplexobj(b) for b in samples[0].beamformers] == [False, True]
+
+    def test_stdout_matches_reference_bytes(self, capsysbinary):
+        net, samples, with_beams = _csv_cases()["complex_beams"]
+        cli._emit_samples(samples, net, None, with_beams)
+        assert capsysbinary.readouterr().out == _reference_csv(samples, net, with_beams)
+
+    def test_empty_stream_is_a_numerical_failure(self):
+        with pytest.raises(NumericalError):
+            cli._emit_samples(iter([]), build_symmetric_pair(), None, True)
 
 
 def test_benchmark_probes_resolve():
