@@ -2,6 +2,8 @@
 detection, via closed-form beamforming sweeps with independent verification
 solvers."""
 
+import importlib
+
 from .numlin import (
     FeasibilityError,
     NumericalError,
@@ -47,14 +49,6 @@ from .twouser import (
     max_signal_given_interference,
     scalar_sud_sum_rate,
     two_user_region,
-)
-from .oracle import (
-    ConstrainedMaxProblem,
-    OracleReport,
-    general_rank_solve,
-    kkt_inertia_check,
-    rank_one_search,
-    weighted_sum_boundary,
 )
 
 __version__ = "0.1.0"
@@ -107,3 +101,25 @@ __all__ = [
     "weighted_sum_boundary",
     "zf_point",
 ]
+
+# The oracles need scipy; they load on first access (PEP 562), so that the
+# region sweeps and the CLI import numpy alone.
+_ORACLE_NAMES = frozenset({
+    "ConstrainedMaxProblem",
+    "OracleReport",
+    "general_rank_solve",
+    "kkt_inertia_check",
+    "rank_one_search",
+    "weighted_sum_boundary",
+})
+
+
+def __getattr__(name):
+    if name in _ORACLE_NAMES or name == "oracle":
+        oracle = importlib.import_module(".oracle", __name__)
+        return oracle if name == "oracle" else getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

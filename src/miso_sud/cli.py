@@ -20,7 +20,6 @@ import numpy as np
 
 from .mreduce import sweeps_phases
 from .numlin import FeasibilityError, NumericalError
-from .oracle import ConstrainedMaxProblem, general_rank_solve, rank_one_search
 from .region import (
     MisoNetwork,
     m_user_region,
@@ -318,6 +317,8 @@ def _cmd_hull(args):
 
 
 def _example1_problem():
+    from .oracle import ConstrainedMaxProblem  # loads scipy, so only on demand
+
     cfg = bundled_config("example1")
     caps = tuple(
         (np.array(c["vector"], dtype=float), float(c["bound"]), c["kind"])
@@ -329,6 +330,8 @@ def _example1_problem():
 
 
 def _suite_example1():
+    from .oracle import general_rank_solve, rank_one_search
+
     prob = _example1_problem()
     general = general_rank_solve(prob)
     rank_one = rank_one_search(prob, starts=50, seed=0)

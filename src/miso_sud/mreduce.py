@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .numlin import hermitize, unitary_completion
 from .rankone import CompletionInput, lemma5_complete
@@ -325,6 +324,10 @@ def best_rank_one_sweep(h_own, caps, p, grid: int = 0, rounds: int = 12,
     step, which tracks optima that sit on cap boundaries where axis-aligned
     grids lose linear accuracy.  Returns (value, angles, beam).
     """
+    # scipy is imported here, not at module level, so that the region
+    # sweeps and the CLI run on numpy alone
+    from scipy.optimize import minimize
+
     vecs = [np.asarray(v) for v, _ in caps]
     bounds = np.array([float(b) for _, b in caps])
     frame = reduce_interference_frame(h_own, vecs)

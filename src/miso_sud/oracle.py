@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+# module level on purpose: importing the oracle layer is where scipy is paid
 from scipy.optimize import nnls
 
 from .numlin import FeasibilityError, eig_hermitian, hermitize, project_psd
@@ -148,12 +149,17 @@ def _dykstra(s, prob: ConstrainedMaxProblem, band: float, sweeps: int, tol: floa
     return s
 
 
+def _check_equality_reach(vec: np.ndarray, bound: float, p: float) -> None:
+    """Refuse an equality cap above p*||v||^2, the most v'Sv reaches at tr S <= p."""
+    top = p * float(np.linalg.norm(vec)) ** 2
+    if bound > top + 1e-9 * max(1.0, top):
+        raise FeasibilityError("equality cap exceeds the trace budget times the gain")
+
+
 def _feasible_start(prob: ConstrainedMaxProblem, tol: float) -> np.ndarray:
     for vec, bound, kind in prob.caps:
         if kind == "equality":
-            top = prob.p * float(np.linalg.norm(vec)) ** 2
-            if bound > top + 1e-9 * max(1.0, top):
-                raise FeasibilityError("equality cap exceeds the trace budget times the gain")
+            _check_equality_reach(vec, bound, prob.p)
     d = prob.dim
     dt = complex if prob.is_complex else float
     s0 = (prob.p / (2.0 * d)) * np.eye(d, dtype=dt)
@@ -436,12 +442,11 @@ def rank_one_search(prob: ConstrainedMaxProblem, starts: int = 50,
     eq = [(v.astype(dt), b) for v, b, kind in prob.caps if kind == "equality"]
     up = [(v.astype(dt), b) for v, b, kind in prob.caps if kind == "upper"]
     for v, b in eq:
-        nv = float(np.linalg.norm(v))
-        if nv == 0.0:
+        if float(np.linalg.norm(v)) == 0.0:
             if b > tol:
                 raise FeasibilityError("equality cap through a zero vector")
-        elif b > p * nv**2 + 1e-9 * max(1.0, p * nv**2):
-            raise FeasibilityError("equality cap exceeds the trace budget times the gain")
+        else:
+            _check_equality_reach(v, b, p)
     eq = [(v, b) for v, b in eq if float(np.linalg.norm(v)) > 0.0]
     up = [(v, b) for v, b in up if float(np.linalg.norm(v)) > 0.0]
 

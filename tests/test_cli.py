@@ -3,11 +3,15 @@
 import importlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import miso_sud
 import miso_sud.cli as cli
 from miso_sud.cli import bundled_config, load_network, main, network_config
 from miso_sud.mreduce import SphericalParams
@@ -432,3 +436,60 @@ def test_benchmark_probes_resolve():
     for mod, attr, *_ in tracing.PROBES:
         module = importlib.import_module(f"miso_sud.{mod}")
         assert hasattr(module, attr), f"miso_sud.{mod}.{attr} is missing"
+
+
+# Runs in a fresh interpreter: the numpy-only commands, then the oracle suite.
+_SCIPY_FREE_CHILD = """
+import sys
+
+def scipy_modules():
+    return [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+
+import miso_sud
+assert not scipy_modules(), scipy_modules()
+import miso_sud.cli as cli
+cli.build_parser()
+commands = [
+    ["region2", "--config", "fig3", "--grid", "9"],
+    ["region3", "--config", "paper_sec4", "--grid", "3", "--pareto"],
+    ["region3", "--config", "paper_sec4", "--sampler", "random", "--count", "50"],
+    ["zf", "--config", "paper_sec4"],
+    ["fdm", "--config", "fig3", "--grid", "5"],
+    ["hull", "--config", "fig3", "--grid", "7"],
+]
+for k, argv in enumerate(commands):
+    assert cli.main(argv + ["--out", f"out{k}.csv"]) == 0, argv
+assert not scipy_modules(), scipy_modules()
+assert cli.main(["verify", "--suite", "example1", "--out", "example1.json"]) == 0
+assert "scipy.optimize" in sys.modules
+"""
+
+
+def _run_fresh(code, cwd):
+    src = str(Path(miso_sud.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_numpy_commands_do_not_import_scipy(tmp_path):
+    # scipy serves only the oracles; the sweep, zf, fdm and hull commands
+    # must not pay its import.  The bare config names resolve to the bundled
+    # configs because the child runs in an empty directory.
+    done = _run_fresh(_SCIPY_FREE_CHILD, tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert json.loads((tmp_path / "example1.json").read_text())["pass"] is True
+
+
+def test_public_names_resolve(tmp_path):
+    done = _run_fresh("import miso_sud; print(miso_sud.oracle.__name__)", tmp_path)
+    assert done.stdout.strip() == "miso_sud.oracle", done.stderr
+    for name in miso_sud.__all__:
+        assert getattr(miso_sud, name) is not None, name
+        assert name in dir(miso_sud), name
+    from miso_sud import general_rank_solve, weighted_sum_boundary
+
+    assert general_rank_solve is miso_sud.oracle.general_rank_solve
+    assert weighted_sum_boundary is miso_sud.oracle.weighted_sum_boundary
+    with pytest.raises(AttributeError):
+        miso_sud.no_such_name

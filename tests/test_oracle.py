@@ -167,6 +167,30 @@ class TestRankOneSearch:
             rank_one_search(prob)
 
 
+class TestEqualityCapReach:
+    # v'Sv <= tr(S)*||v||^2 <= p*||v||^2, so an equality cap reaches at most 4 here
+    V = np.array([1.0, 1.0])
+    P = 2.0
+
+    def problem(self, bound):
+        return ConstrainedMaxProblem(
+            target=np.array([1.0, 0.5]), caps=((self.V, bound, "equality"),), p=self.P
+        )
+
+    @pytest.mark.parametrize("solve", [
+        lambda prob: general_rank_solve(prob, restarts=1),
+        rank_one_search,
+    ], ids=["general", "search"])
+    def test_both_solvers_share_the_reach_check(self, solve):
+        with pytest.raises(FeasibilityError, match="exceeds the trace budget"):
+            solve(self.problem(4.0 + 1e-6))
+        assert np.isfinite(solve(self.problem(4.0)).value)
+
+    def test_full_reach_beam_lies_along_the_cap(self):
+        rep = rank_one_search(self.problem(4.0))
+        assert rep.value == pytest.approx(self.P * 1.5**2 / 2.0, rel=1e-6)
+
+
 class TestWeightedSumBoundary:
     def test_first_user_only(self):
         net = build_symmetric_pair()
