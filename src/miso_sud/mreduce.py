@@ -322,7 +322,11 @@ def best_rank_one_sweep(h_own, caps, p, grid: int = 0, rounds: int = 12,
     parameters seeds several well-separated incumbents; each is refined by
     a deterministic shrinking-box zoom and then a smooth constrained local
     step, which tracks optima that sit on cap boundaries where axis-aligned
-    grids lose linear accuracy.  Returns (value, angles, beam).
+    grids lose linear accuracy.  Without a residual direction (t = mbar) the
+    power can sit on the rim |gamma| = 1, a fold of the angle chart that
+    neither step can slide along; the rim is then also swept on its own, as
+    the slice psi_mbar = pi/2 with mbar - 1 free angles, which adds three
+    seeds of its own.  Returns (value, angles, beam).
     """
     # scipy is imported here, not at module level, so that the region
     # sweeps and the CLI run on numpy alone
@@ -337,127 +341,118 @@ def best_rank_one_sweep(h_own, caps, p, grid: int = 0, rounds: int = 12,
     if grid <= 0:
         grid = {0: 2, 1: 41, 2: 41, 3: 15, 4: 11}.get(min(n_axes, 4), 7)
     zoom_pts = 9 if n_axes <= 2 else (5 if n_axes == 3 else 3)
-    n_seeds = 1 if n_axes <= 2 else (4 if n_axes == 3 else 6)
+    n_seeds = 1 if n_axes <= 1 else (3 if n_axes == 2 else (4 if n_axes == 3 else 6))
     psi_axes, omega_axes = default_axes(mbar, grid, complex_phases)
     use_omega = omega_axes is not None
+    axes = psi_axes + (omega_axes if use_omega else [])
+    widths = np.array([np.pi / max(grid - 1, 1)] * mbar
+                      + ([2 * np.pi / grid] * mbar if use_omega else []))
 
-    def table(psi_axes, omega_axes):
+    # a chart is the mask of angles a seed may move: the first phase is
+    # pinned to 0, and on the rim chart so is psi_mbar, to pi/2
+    disk = np.ones(len(axes), dtype=bool)
+    if use_omega:
+        disk[mbar] = False
+
+    def table(axes):
         """Sweep rows at the given axes and the mask of rows within every cap."""
-        angles, _, signal, zsq, beams = rank_one_table(frame, p, psi_axes, omega_axes)
+        omega = axes[mbar:] if use_omega else None
+        angles, _, signal, zsq, beams = rank_one_table(frame, p, axes[:mbar], omega)
         return angles, signal, zsq, beams, np.all(zsq <= bounds + tol, axis=1)
 
-    def evaluate(psi_axes, omega_axes):
-        angles, signal, _, beams, feas = table(psi_axes, omega_axes)
-        if not np.any(feas):
-            return None
-        idx = int(np.flatnonzero(feas)[np.argmax(signal[feas])])
-        return signal[idx], angles[idx], beams[idx]
-
-    spacing = np.array(
-        [np.pi / max(grid - 1, 1)] * mbar
-        + ([2 * np.pi / grid] * mbar if use_omega else [])
-    )
-
-    def top_candidates():
-        angles, signal, _, beams, feas = table(psi_axes, omega_axes)
-        if not np.any(feas):
-            # psi = 0 is always feasible (zero interference); the grid
-            # contains it, so reaching here means caps are negative or
-            # numerics broke
-            raise ValueError("no feasible sweep point under the given caps")
+    def top_candidates(free, count):
+        """The best feasible grid rows of one chart, pairwise two cells apart."""
+        pinned = [a if f else np.array([np.pi / 2 if i < mbar else 0.0])
+                  for i, (a, f) in enumerate(zip(axes, free))]
+        angles, signal, _, beams, feas = table(pinned)
+        # psi_mbar enters gamma only through its sine: pi - psi_mbar is a
+        # mirror image of psi_mbar, not another basin
+        canon = angles.copy()
+        last = canon[:, mbar - 1:mbar]
+        np.minimum(last, np.pi - last, out=last)
         order = np.flatnonzero(feas)
         order = order[np.argsort(signal[order])][::-1]
         chosen = []
         for j in order:
             far = True
             for c in chosen:
-                delta = np.abs(angles[j] - angles[c])
+                delta = np.abs(canon[j] - canon[c])
                 if use_omega:
                     w = delta[mbar:]
                     delta[mbar:] = np.minimum(w, 2 * np.pi - w)
                 # seeds two coarse cells apart count as distinct basins
-                if float(np.max(delta / spacing)) < 2.0:
+                if float(np.max(delta / widths)) < 2.0:
                     far = False
                     break
             if far:
                 chosen.append(j)
-                if len(chosen) == n_seeds:
+                if len(chosen) == count:
                     break
-        return [(float(signal[j]), angles[j], beams[j]) for j in chosen]
-
-    def table_at(x):
-        psi_ax = [np.array([v]) for v in x[:mbar]]
-        om_ax = None
-        if use_omega:
-            om_ax = [np.zeros(1)] + [np.array([v]) for v in x[mbar:]]
-        _, sig, zs, beams, feas = table(psi_ax, om_ax)
-        return float(sig[0]), zs[0], beams[0], bool(feas[0])
+        return [(float(signal[j]), angles[j], beams[j], free) for j in chosen]
 
     def polish(seed):
-        free = mbar + (mbar - 1 if use_omega else 0)
-        if free == 0:
+        free = seed[3]
+        if not np.any(free):
             return seed
         center = seed[1]
-        if use_omega:
-            x0 = np.concatenate([center[:mbar], center[mbar + 1:]])
-        else:
-            x0 = np.array(center[:mbar], dtype=float)
-        cons = []
-        if bounds.size:
-            cons.append({"type": "ineq", "fun": lambda x: bounds - table_at(x)[1]})
-        res = minimize(lambda x: -table_at(x)[0], x0, method="SLSQP",
-                       constraints=cons, options={"maxiter": 120, "ftol": 1e-12})
-        x = np.asarray(res.x, dtype=float)
-        if not np.all(np.isfinite(x)):
+        x0 = center[free]
+
+        def table_at(x):
+            full = center.copy()
+            full[free] = x
+            _, sig, zs, beams, feas = table([np.array([v]) for v in full])
+            return float(sig[0]), zs[0], beams[0], bool(feas[0]), full
+
+        def local_step(start, margin):
+            cons = []
+            if bounds.size:
+                cons.append({"type": "ineq", "fun": lambda x: bounds - margin - table_at(x)[1]})
+            res = minimize(lambda x: -table_at(x)[0], start, method="SLSQP",
+                           constraints=cons, options={"maxiter": 120, "ftol": 1e-12})
+            x = np.asarray(res.x, dtype=float)
+            return table_at(x) if np.all(np.isfinite(x)) else None
+
+        got = local_step(x0, 0.0)
+        if got is not None and not got[3]:
+            # the step can stop a rounding error outside a cap: rerun it from
+            # there with the caps pulled in by twice that overshoot
+            got = local_step(got[4][free], 2.0 * np.maximum(got[1] - bounds, 0.0))
+        if got is None or not got[3]:
             return seed
-        val, _, beam, feas = table_at(x)
-        if not feas:
-            # walk back toward the feasible start until the caps hold again
-            ts = np.linspace(1.0, 0.0, 33)[1:]
-            for t in ts:
-                xt = x0 + t * (x - x0)
-                val, _, beam, feas = table_at(xt)
-                if feas:
-                    x = xt
-                    break
-            else:
-                return seed
+        val, _, beam, _, angles = got
         if val <= seed[0]:
             return seed
-        if use_omega:
-            angles = np.concatenate([x[:mbar], [center[mbar]], x[mbar:]])
-        else:
-            angles = x
-        return val, angles, beam
+        return val, angles, beam, free
 
+    seeds = top_candidates(disk, n_seeds)
+    if not seeds:
+        # psi = 0 is always feasible (zero interference); the grid contains
+        # it, so reaching here means caps are negative or numerics broke
+        raise ValueError("no feasible sweep point under the given caps")
+    if 0 < mbar == frame.dim:
+        seeds += top_candidates(disk & (np.arange(disk.size) != mbar - 1), 3)
     best = None
-    for seed in top_candidates():
+    for seed in seeds:
         cur = seed
-        width_psi = np.pi / max(grid - 1, 1)
-        width_om = 2 * np.pi / grid if use_omega else 0.0
+        free = seed[3]
+        width = widths.copy()
         shrinks = 0
         steps = 0
         while shrinks < rounds and steps < 5 * rounds:
             steps += 1
-            center = cur[1]
-            z_psi = [center[i] + np.linspace(-width_psi, width_psi, zoom_pts)
-                     for i in range(mbar)]
-            z_om = None
-            if use_omega:
-                z_om = [np.atleast_1d(center[mbar])] + [
-                    center[mbar + i] + np.linspace(-width_om, width_om, zoom_pts)
-                    for i in range(1, mbar)
-                ]
-            cand = evaluate(z_psi, z_om)
+            zoom = [c + np.linspace(-w, w, zoom_pts) if f else np.atleast_1d(c)
+                    for c, w, f in zip(cur[1], width, free)]
+            angles, signal, _, beams, feas = table(zoom)
             moved = False
-            if cand is not None and cand[0] > cur[0]:
-                moved = cand[0] - cur[0] > 1e-6 * max(1.0, abs(cur[0]))
-                cur = cand
+            if np.any(feas):
+                idx = int(np.flatnonzero(feas)[np.argmax(signal[feas])])
+                if signal[idx] > cur[0]:
+                    moved = signal[idx] - cur[0] > 1e-6 * max(1.0, abs(cur[0]))
+                    cur = (float(signal[idx]), angles[idx], beams[idx], free)
             if not moved:
-                width_psi /= 3.0
-                width_om /= 3.0
+                width /= 3.0
                 shrinks += 1
         cur = polish(cur)
         if best is None or cur[0] > best[0]:
             best = cur
-    return best
+    return best[:3]

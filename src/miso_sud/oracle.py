@@ -1,21 +1,24 @@
 """Independent verification solvers.
 
-Nothing here reuses the closed forms under test: the general-rank solver is
-projected gradient ascent with Dykstra alternating projections, the rank-one
-search solves exact phase-parametrized subproblems, and the weighted-sum
-driver brute-forces rate sweeps.  Agreement between these and the analytic
-optimizers is what the test suite certifies.
+Nothing here reuses the closed forms under test: the general-rank solver
+minimizes the Lagrange dual, whose every value bounds the optimum over
+covariances of any rank, and recovers a feasible covariance from the dual
+optimum, so the gap between bound and value certifies its answer; the
+rank-one search solves exact phase-parametrized subproblems, and the
+weighted-sum driver brute-forces rate sweeps.  Agreement between these and
+the analytic optimizers is what the test suite certifies.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 # module level on purpose: importing the oracle layer is where scipy is paid
-from scipy.optimize import nnls
+from scipy.optimize import brentq
 
-from .numlin import FeasibilityError, eig_hermitian, hermitize, project_psd
+from .numlin import FeasibilityError, eig_hermitian, hermitize
 from .region import MisoNetwork, m_user_region
 from .twouser import two_user_region
 
@@ -84,245 +87,181 @@ class OracleReport:
     certificate: dict = field(default_factory=dict)
 
 
-def _cap_gaps(prob: ConstrainedMaxProblem, s: np.ndarray) -> list:
-    """Per-cap violation: |v - bound| for equality caps, (v - bound)+ for upper."""
-    gaps = []
+def _cap_residuals(prob: ConstrainedMaxProblem, s: np.ndarray) -> np.ndarray:
+    """Per-cap violation (|v - bound| on equality caps, (v - bound)+ on upper
+    caps), then the trace excess, then the PSD slack."""
+    res = []
     for vec, bound, kind in prob.caps:
         v = float(np.real(vec.conj() @ s @ vec))
-        gaps.append(abs(v - bound) if kind == "equality" else max(v - bound, 0.0))
-    return gaps
-
-
-def _cap_residuals(prob: ConstrainedMaxProblem, s: np.ndarray) -> np.ndarray:
-    res = _cap_gaps(prob, s)
+        res.append(abs(v - bound) if kind == "equality" else max(v - bound, 0.0))
     res.append(max(float(np.real(np.trace(s))) - prob.p, 0.0))
     lam = eig_hermitian(hermitize(s, tol=1e-6))[0]
     res.append(max(-float(lam[0]), 0.0))
     return np.array(res)
 
 
-def _project_trace(s: np.ndarray, p: float) -> np.ndarray:
-    tr = float(np.real(np.trace(s)))
-    if tr <= p:
-        return s
-    d = s.shape[0]
-    return s - ((tr - p) / d) * np.eye(d, dtype=s.dtype)
-
-
-def _project_cap(s: np.ndarray, vec: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    v = float(np.real(vec.conj() @ s @ vec))
-    if lo <= v <= hi:
-        return s
-    bound = hi if v > hi else lo
-    nrm4 = float(np.linalg.norm(vec)) ** 4
-    if nrm4 == 0.0:
-        return s
-    a = np.outer(vec, vec.conj())
-    return s - ((v - bound) / nrm4) * a
-
-
-def _violation(prob: ConstrainedMaxProblem, s: np.ndarray) -> float:
-    """Worst cap or trace violation, assuming s is already PSD."""
-    return max([max(float(np.real(np.trace(s))) - prob.p, 0.0)] + _cap_gaps(prob, s))
-
-
-def _dykstra(s, prob: ConstrainedMaxProblem, band: float, sweeps: int, tol: float):
-    """Alternating projections with Dykstra corrections onto the cap set.
-
-    The PSD projection runs last in each sweep, so the returned iterate is
-    always PSD and convergence checking reduces to the cheap cap gaps.
-    """
-    projections = [lambda m: _project_trace(m, prob.p)]
-    for vec, bound, kind in prob.caps:
-        lo = bound - band if kind == "equality" else 0.0
-        hi = bound + band
-        projections.append(lambda m, v=vec, a=lo, b=hi: _project_cap(m, v, a, b))
-    projections.append(project_psd)
-    increments = [np.zeros_like(s) for _ in projections]
-    for sweep in range(sweeps):
-        for k, proj in enumerate(projections):
-            t = s - increments[k]
-            s = proj(t)
-            increments[k] = s - t
-        if _violation(prob, s) <= tol:
-            break
-    return s
-
-
-def _check_equality_reach(vec: np.ndarray, bound: float, p: float) -> None:
-    """Refuse an equality cap above p*||v||^2, the most v'Sv reaches at tr S <= p."""
+def _check_equality_reach(vec: np.ndarray, bound: float, p: float) -> float:
+    """Refuse an equality cap above p*||v||^2, the most v'Sv reaches at tr S <= p;
+    return that reach."""
     top = p * float(np.linalg.norm(vec)) ** 2
     if bound > top + 1e-9 * max(1.0, top):
         raise FeasibilityError("equality cap exceeds the trace budget times the gain")
+    return top
 
 
-def _feasible_start(prob: ConstrainedMaxProblem, tol: float) -> np.ndarray:
-    for vec, bound, kind in prob.caps:
-        if kind == "equality":
-            _check_equality_reach(vec, bound, prob.p)
-    d = prob.dim
-    dt = complex if prob.is_complex else float
-    s0 = (prob.p / (2.0 * d)) * np.eye(d, dtype=dt)
-    s0 = _dykstra(s0, prob, band=0.0, sweeps=400, tol=tol)
-    res = _cap_residuals(prob, s0)
-    if float(res.max()) > 100 * tol:
-        raise FeasibilityError("caps are not jointly satisfiable within the trace budget")
-    return s0
+# a bracket search doubles its step at most this often, to 2**40 times the
+# multiplier's natural size h'h / v'v, before it takes the dual to fall
+# without a minimum along that multiplier (infeasible equality caps)
+_MAX_DOUBLINGS = 40
 
 
-def _dominant_subspace(s: np.ndarray, rel: float = 1e-6) -> np.ndarray:
-    lam, q = eig_hermitian(s)
-    top = float(lam[-1]) if lam.size else 0.0
-    keep = lam > rel * max(top, 1e-300)
-    return q[:, keep]
+def _face_covariance(prob: ConstrainedMaxProblem, lam, held):
+    """A covariance optimal with the caps in ``held`` held and the others
+    priced by lam, and the dual bound g(lam).
 
-
-def _polish_subspace(prob: ConstrainedMaxProblem, s: np.ndarray, value: float,
-                     tol: float):
-    """Re-solve restricted to leading eigenspaces to strip rank noise.
-
-    Ascent leaves tiny spurious eigenvalues on the solution; re-solving in
-    the span of the top r eigenvectors for growing r and adopting the first
-    r that preserves the value gives a clean low-rank answer.
+    With A = hh' - sum_j lam_j v_j v_j', every feasible S of any rank has
+    h'Sh = tr AS + sum_j lam_j v_j'Sv_j <= p max(top(A), 0) + lam.b = g(lam)
+    when lam_j >= 0 on upper caps (equality caps take either sign).  S
+    attains it on the top eigenspace of A with trace p if top(A) > 0 and
+    each held cap with lam_j != 0 met exactly (complementary slackness).
+    S = U W U' is fitted on the top r eigenvectors, r = 1, 2, ..., until
+    the least-norm W meeting those linear conditions, a combination of
+    their own matrices, meets them exactly and is PSD.
     """
-    lam, q = eig_hermitian(s)
-    slack = 1e-6 * max(1.0, abs(value))
-    for r in range(1, prob.dim):
-        v = q[:, -r:]
-        sub = ConstrainedMaxProblem(
-            target=v.conj().T @ prob.target,
-            caps=tuple((v.conj().T @ vec, b, k) for vec, b, k in prob.caps),
-            p=prob.p,
-        )
-        try:
-            s_sub = _feasible_start(sub, tol)
-        except FeasibilityError:
-            continue
-        s_sub = _ascend(sub, s_sub, tol, max_iter=150)
-        cand = hermitize(v @ s_sub @ v.conj().T, tol=1e-6)
-        cand_val = float(np.real(prob.target.conj() @ cand @ prob.target))
-        if cand_val >= value - slack and float(_cap_residuals(prob, cand).max()) <= 100 * tol:
-            return cand, cand_val
-    return s, value
-
-
-def _ascend(prob: ConstrainedMaxProblem, s: np.ndarray, tol: float, max_iter: int):
     h = prob.target
-    grad = np.outer(h, h.conj())
-    scale = float(np.linalg.norm(h)) ** 2
-    eta = 1.0 / max(scale, 1e-12)
-    value = float(np.real(h.conj() @ s @ h))
-    feas = 100 * tol
-    stall = 0
-    for _ in range(max_iter):
-        cand = _dykstra(s + eta * grad, prob, band=1e-8, sweeps=40, tol=10 * tol)
-        res = _violation(prob, cand)
-        new = float(np.real(h.conj() @ cand @ h))
-        # accept only steps that stay on the constraint set
-        if res <= feas and new > value + 1e-14:
-            improved = new - value
-            s, value = cand, new
-            if improved < 1e-10 * max(1.0, value):
-                stall += 1
-                if stall >= 3:
-                    break
-            else:
-                stall = 0
-            eta = min(eta * 1.3, 1e3 / max(scale, 1e-12))
-        else:
-            eta *= 0.5
-            if eta * scale < 1e-10:
-                break
-    # one tight projection pass so the report sits on the constraint set
-    return _dykstra(s, prob, band=1e-9, sweeps=400, tol=0.1 * tol)
+    cols = np.stack([h] + [v for v, _, _ in prob.caps], axis=1)
+    # eigh reads one triangle, so the product's rounding asymmetry is harmless
+    mu, q = np.linalg.eigh((cols * np.concatenate([[1.0], -lam])) @ cols.conj().T)
+    top = float(mu[-1])
+    bound = prob.p * max(top, 0.0) + sum(m * b for m, (_, b, _) in zip(lam, prob.caps))
+    rows = [j for j in held if prob.caps[j][2] == "equality" or lam[j] > 0.0]
+    if not rows and top <= 0.0:
+        return np.zeros((prob.dim, prob.dim), dtype=q.dtype), bound
+    # a top eigenvalue within rounding of 0 leaves the trace free below p
+    for traced in [True] if top > 1e-9 * float(np.vdot(h, h).real) or not rows else [False, True]:
+        rhs = np.array([prob.p] * traced + [prob.caps[j][1] for j in rows])
+        for r in range(1, prob.dim + 1):
+            u = q[:, -r:]
+            mats = np.stack([np.eye(r)] * traced + [
+                np.outer(c, c.conj()) for c in (u.conj().T @ prob.caps[j][0] for j in rows)])
+            gram = np.real(np.einsum("iab,jba->ij", mats, mats))
+            coef = np.linalg.lstsq(gram, rhs, rcond=None)[0]
+            w = np.einsum("i,iab->ab", coef, mats)
+            s = u @ w @ u.conj().T
+            if (np.abs(gram @ coef - rhs).max() <= 1e-9 * max(1.0, np.abs(rhs).max())
+                    and np.linalg.eigvalsh(w)[0] >= -1e-9 * prob.p
+                    and np.real(np.trace(w)) <= prob.p * (1.0 + 1e-9)):
+                return s, bound
+    return s, bound
 
 
-def _fit_multipliers(prob: ConstrainedMaxProblem, s: np.ndarray):
-    """Least-squares lambda >= 0 for grad stationarity on range(S)."""
-    v = _dominant_subspace(s)
-    if v.shape[1] == 0 or not prob.caps:
-        return np.zeros(len(prob.caps)), 0.0
+def _minimize_dual(prob: ConstrainedMaxProblem, order, max_iter: int):
+    """Multipliers minimizing g, one cap per nesting level, in ``order``,
+    and the number of covariances evaluated.
 
-    def flat(mat):
-        red = v.conj().T @ mat @ v
-        return np.concatenate([np.real(red).ravel(), np.imag(red).ravel()])
+    Level l prices caps order[:l] and holds the rest.  Its optimum is a
+    maximum of functions affine in the multiplier lam_j of cap j = order[l],
+    so b_j - v_j'Sv_j at any covariance S optimal one level down is a slope
+    of it, which changes sign once, at the minimizer: a doubling step
+    brackets the change and Brent's method closes it in max_iter steps.
+    """
+    lam = np.zeros(len(prob.caps))
+    evals = 0
+    h2 = max(float(np.linalg.norm(prob.target)) ** 2, 1e-300)
 
-    h = prob.target
-    rhs = flat(np.outer(h, h.conj()))
-    cols = [flat(np.outer(vec, vec.conj())) for vec, _, _ in prob.caps]
-    cols.append(flat(np.eye(prob.dim, dtype=s.dtype)))
-    a = np.stack(cols, axis=1)
-    lam, resid = nnls(a, rhs)
-    scale = max(float(np.linalg.norm(rhs)), 1e-12)
-    return lam[:-1], float(resid) / scale
+    def solve(level):
+        nonlocal evals
+        if level < len(order):
+            j = order[level]
+            vec, bound, kind = prob.caps[j]
+
+            def slope(t):
+                lam[j] = t
+                s = solve(level + 1)
+                return bound - float(np.real(vec.conj() @ s @ vec))
+
+            first = slope(0.0)
+            if first < 0.0 or (first > 0.0 and kind == "equality"):
+                sign, lo = -np.sign(first), 0.0
+                step = h2 / max(float(np.linalg.norm(vec)) ** 2, 1e-300)
+                for _ in range(_MAX_DOUBLINGS):
+                    hi = sign * step
+                    if slope(hi) * sign >= 0.0:
+                        slope(brentq(slope, min(lo, hi), max(lo, hi), xtol=1e-15 * step,
+                                     maxiter=max_iter, disp=False))
+                        break
+                    lo, step = hi, 2.0 * step
+        evals += 1
+        return _face_covariance(prob, lam, order[level:])[0]
+
+    solve(0)
+    return lam, evals
 
 
 def general_rank_solve(prob: ConstrainedMaxProblem, tol: float = 1e-7,
                        max_iter: int = 400, restarts: int = 8,
                        seed: int = 0) -> OracleReport:
-    """Projected gradient ascent over the capped PSD set, multi-start.
+    """Optimum over covariances of every rank, certified by the Lagrange dual.
 
-    Gradient steps on the (linear) objective alternate with Dykstra
-    projections onto the intersection of the PSD cone, the trace ball, and
-    the per-cap halfspaces (equality caps as thin bands).  Certification
-    combines restart agreement, a non-negative least-squares fit of the
-    stationarity multipliers on the solution's range, and the inertia test
-    of that multiplier vector.
+    The dual g(lam) = p max(top(hh' - sum_j lam_j v_j v_j'), 0) + lam.b is
+    minimized one multiplier at a time (_minimize_dual) and the covariance
+    recovered on the face of its minimizer (_face_covariance); ``value`` is
+    h'Sh of that covariance, never the bound.  The certificate holds
+    ``dual_value`` g(lambdas), an upper bound on h'Sh over every feasible S
+    of any rank, ``lambdas`` the cap multipliers in cap order, and ``gap``
+    dual_value - value, at least the distance to the optimum.
+    ``certified`` means the gap is within tol relative and every residual
+    (one per cap, then the trace, then the PSD slack) within
+    tol * max(1, p).  While the certificate stays open the search reruns
+    with the caps nested in another order drawn with ``seed``, up to
+    ``restarts`` orders, and the report with the smallest gap is returned.
+    An equality cap at its reach p||v||^2 admits only p vv'/||v||^2, which
+    is returned as is (the dual tends to its value as that multiplier goes
+    to -inf).  A negative bound proves the caps jointly infeasible.
     """
-    s0 = _feasible_start(prob, tol)
-    d = prob.dim
-    dt = complex if prob.is_complex else float
-    rng = np.random.default_rng(seed)
     h = prob.target
+    res_tol = tol * max(1.0, prob.p)
+    for j, (vec, bound, kind) in enumerate(prob.caps):
+        if kind != "equality":
+            continue
+        reach = _check_equality_reach(vec, bound, prob.p)
+        if reach > 0.0 and bound >= reach - tol * max(1.0, reach):
+            s = prob.p * np.outer(vec, vec.conj()) / float(np.linalg.norm(vec)) ** 2
+            residuals = _cap_residuals(prob, s)
+            if float(residuals.max()) > res_tol:
+                raise FeasibilityError("caps are not jointly satisfiable within the trace budget")
+            value = float(np.real(h.conj() @ s @ h))
+            lam = np.where(np.arange(len(prob.caps)) == j, -np.inf, 0.0)
+            return OracleReport(value=value, s=s, residuals=residuals, iterations=0,
+                                certified=True,
+                                certificate={"dual_value": value, "lambdas": lam, "gap": 0.0})
 
-    best_s = None
-    best_val = -np.inf
-    values = []
-    iterations = 0
-    for start in range(max(restarts, 1)):
-        if start == 0:
-            s = s0.copy()
-        else:
-            g = rng.standard_normal((d, d))
-            if prob.is_complex:
-                g = g + 1j * rng.standard_normal((d, d))
-            raw = (g @ g.conj().T).astype(dt)
-            raw *= prob.p / (2.0 * max(float(np.real(np.trace(raw))), 1e-12))
-            s = _dykstra(raw, prob, band=1e-8, sweeps=100, tol=10 * tol)
-        s = _ascend(prob, s, tol, max_iter)
-        val = float(np.real(h.conj() @ s @ h))
-        values.append(val)
-        iterations += max_iter
-        if val > best_val:
-            best_val, best_s = val, s
-
-    best_s, best_val = _polish_subspace(prob, best_s, best_val, tol)
-    best_s = hermitize(best_s, tol=1e-6)
-    residuals = _cap_residuals(prob, best_s)
-    lam, stat_resid = _fit_multipliers(prob, best_s)
-    inertia_ok = (
-        kkt_inertia_check(prob.target, [v for v, _, _ in prob.caps], lam)
-        if prob.caps
-        else True
-    )
-    spread = (max(values) - min(values)) / max(1.0, abs(best_val))
-    agree = spread <= 1e-4 or len(values) == 1
-    res_ok = float(residuals.max()) <= 100 * tol
-    certified = bool(res_ok and agree and inertia_ok)
-    return OracleReport(
-        value=best_val,
-        s=best_s,
-        residuals=residuals,
-        iterations=iterations,
-        certified=certified,
-        certificate={
-            "lambdas": lam,
-            "stationarity_residual": stat_resid,
-            "inertia_ok": inertia_ok,
-            "restart_values": values,
-            "restart_spread": spread,
-        },
-    )
+    k = len(prob.caps)
+    rng = np.random.default_rng(seed)
+    tried, best, evals = [], None, 0
+    while len(tried) < min(max(restarts, 1), math.factorial(k)):
+        order = tuple(range(k)) if not tried else tuple(int(j) for j in rng.permutation(k))
+        if order in tried:
+            continue
+        tried.append(order)
+        lam, used = _minimize_dual(prob, order, max_iter)
+        evals += used
+        s, bound = _face_covariance(prob, lam, order)
+        if bound < -tol * prob.p * max(float(np.linalg.norm(h)) ** 2, 1.0):
+            # h'Sh >= 0 for every feasible S, so a negative bound proves infeasibility
+            raise FeasibilityError("caps are not jointly satisfiable within the trace budget")
+        s = hermitize(s, tol=1e-6)
+        value = float(np.real(h.conj() @ s @ h))
+        residuals = _cap_residuals(prob, s)
+        gap = bound - value
+        certified = bool(gap <= tol * max(1.0, abs(bound)) and residuals.max() <= res_tol)
+        if best is None or gap < best.certificate["gap"]:
+            best = OracleReport(value=value, s=s, residuals=residuals, iterations=0,
+                                certified=certified,
+                                certificate={"dual_value": bound, "lambdas": lam, "gap": gap})
+        if certified:
+            break
+    return replace(best, iterations=evals)
 
 
 class _PhaseSlices:
@@ -386,6 +325,9 @@ def _rank_one_equality(h, vecs, amps, p, cplx, starts, seed, tol):
         return p * n * n, np.sqrt(p) * h / n
     cmat = np.stack([v.conj() for v in vecs], axis=0)
     slices = _PhaseSlices(h, cmat, p, tol)
+    if k == 1 and cplx:
+        # the phase of the one pinned amplitude is a global phase of g
+        return slices.solve(amps.astype(complex))
     best = None
     if not cplx:
         for signs in _sign_patterns(k):

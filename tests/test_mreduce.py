@@ -15,6 +15,7 @@ from miso_sud.mreduce import (
     lift_covariance,
     spherical_rank_one,
 )
+from miso_sud.oracle import ConstrainedMaxProblem, rank_one_search
 from miso_sud.twouser import max_signal_given_interference
 from tests.conftest import H1, random_vector
 
@@ -294,3 +295,45 @@ class TestSweep:
     def test_infeasible_negative_cap(self):
         with pytest.raises(ValueError):
             best_rank_one_sweep(np.ones(2), [(np.ones(2), -1.0)], 1.0)
+
+
+class TestSweepOnCertifyInputs:
+    """Real inputs with two caps on which a one-seed sweep stopped in the
+    wrong local maximum.  With d = mbar = 2 the own channel has no residual
+    direction and the feasible gammas form a disk cut by two slabs, with
+    local maxima at cap-cap vertices and on the rim |gamma| = 1; (2, 1768)
+    needs a vertex inside the disk, (11, 2201) has d = 3."""
+
+    @staticmethod
+    def certify_input(seed, index):
+        # drawn as perfbench's certify workload draws (seed, index)
+        rng = np.random.default_rng([3, seed, index])
+        rng.uniform(size=8)
+        d = 2 + index % 4
+        h = rng.standard_normal(d)
+        p = float(rng.uniform(0.5, 3.0))
+        caps = []
+        for _ in range(2):
+            g = rng.standard_normal(d)
+            caps.append((g, float(rng.uniform(0.1, 0.9)) * p * float(np.linalg.norm(g)) ** 2))
+        return h, caps, p
+
+    @pytest.mark.parametrize("seed,index", [
+        (20, 56), (11, 504), (11, 632), (12, 712), (14, 584), (15, 1272),
+        (2, 1768), (11, 2201),
+    ])
+    def test_reaches_the_rank_one_optimum(self, seed, index):
+        h, caps, p = self.certify_input(seed, index)
+        val, _, beam = best_rank_one_sweep(h, caps, p)
+        prob = ConstrainedMaxProblem(
+            target=h, caps=tuple((v, b, "upper") for v, b in caps), p=p)
+        search = rank_one_search(prob).value
+        assert search - val <= 1e-6 * max(1.0, search)
+        # the sweep admits a cap excess of 1e-9 * max(1, bound); on (15, 1272)
+        # its beam uses it and lands 2.1e-5 above the search, a gain bounded
+        # by that excess times the cap's multiplier lambda_1 = 5,352
+        tol = 1e-9 * max(1.0, max(b for _, b in caps))
+        assert np.linalg.norm(beam) ** 2 <= p * (1.0 + 1e-12)
+        for v, b in caps:
+            assert abs(np.vdot(v, beam)) ** 2 <= b + tol
+        assert abs(np.vdot(h, beam)) ** 2 == pytest.approx(val, rel=1e-10)

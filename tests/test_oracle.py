@@ -115,6 +115,46 @@ class TestGeneralRankSolve:
         with pytest.raises(FeasibilityError):
             general_rank_solve(prob, restarts=1)
 
+    @pytest.mark.parametrize("caps", [
+        # each cap alone is within reach, together they need trace 2.4 > 2
+        ((np.array([1.0, 0.0, 0.0]), 1.2, "equality"),
+         (np.array([0.0, 1.0, 0.0]), 1.2, "equality")),
+        # one direction pinned to two different powers
+        ((np.array([1.0, 1.0, 0.0]), 1.0, "equality"),
+         (np.array([1.0, 1.0, 0.0]), 2.0, "equality")),
+    ], ids=["trace", "parallel"])
+    def test_jointly_infeasible_equality_caps(self, caps):
+        prob = ConstrainedMaxProblem(target=np.array([1.0, 0.5, -0.3]), caps=caps, p=2.0)
+        with pytest.raises(FeasibilityError, match="not jointly satisfiable"):
+            general_rank_solve(prob, restarts=1)
+
+    def test_certificate_bounds_the_value(self):
+        rng = np.random.default_rng(29)
+        for k in range(40):
+            d = int(rng.integers(2, 6))
+            cplx = bool(rng.integers(0, 2))
+            h = random_vector(rng, d, cplx)
+            p = float(rng.uniform(0.5, 3.0))
+            caps = []
+            for _ in range(k % 3):
+                g = random_vector(rng, d, cplx)
+                caps.append((g, float(rng.uniform(0.1, 0.9)) * p * float(np.linalg.norm(g)) ** 2,
+                             "upper"))
+            rep = general_rank_solve(ConstrainedMaxProblem(target=h, caps=tuple(caps), p=p),
+                                     restarts=2)
+            cert = rep.certificate
+            assert rep.certified
+            assert cert["gap"] == pytest.approx(cert["dual_value"] - rep.value, abs=1e-15)
+            assert abs(cert["gap"]) <= 1e-9 * max(1.0, rep.value)
+            assert np.all(cert["lambdas"] >= 0.0) and cert["lambdas"].shape == (len(caps),)
+            # the bound is the dual function at the reported multipliers
+            pairs = list(zip(cert["lambdas"], caps))
+            top = np.linalg.eigvalsh(
+                np.outer(h, h.conj()) - sum(lam * np.outer(v, v.conj()) for lam, (v, _, _) in pairs)
+            )[-1]
+            bound = p * max(top, 0.0) + sum(lam * b for lam, (_, b, _) in pairs)
+            assert bound == pytest.approx(cert["dual_value"], rel=1e-12)
+
 
 class TestRankOneSearch:
     def test_no_caps_matched_filter(self):
@@ -189,6 +229,17 @@ class TestEqualityCapReach:
     def test_full_reach_beam_lies_along_the_cap(self):
         rep = rank_one_search(self.problem(4.0))
         assert rep.value == pytest.approx(self.P * 1.5**2 / 2.0, rel=1e-6)
+
+    def test_general_returns_the_one_feasible_covariance(self):
+        v = np.array([1.0, 1.0, 0.0])
+        prob = ConstrainedMaxProblem(
+            target=np.array([1.0, 0.5, -0.3]), caps=((v, 4.0, "equality"),), p=self.P
+        )
+        rep = general_rank_solve(prob, restarts=1)
+        assert np.max(np.abs(rep.s - self.P * np.outer(v, v) / 2.0)) <= 1e-12
+        assert rep.value == pytest.approx(2.25, rel=1e-12)
+        assert float(rep.residuals.max()) <= 1e-9
+        assert rep.certified
 
 
 class TestWeightedSumBoundary:
