@@ -5,12 +5,16 @@ interference-limited), the scalar and FDM baselines, the zero-forcing point,
 Pareto/hull post-processing, and a verification suite runner.  Outputs are
 deterministic: CSV rows are sorted by their parameter tuples and floats are
 serialized with shortest round-trip precision.
+
+The sweep commands write from the region module's block stream (per-user
+tables, per-user row indices, rates) and build no per-sample objects: each
+table row's angle and beam text is formatted once and gathered per output
+row, and only the rates are formatted row by row.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
@@ -22,19 +26,18 @@ from .mreduce import sweeps_phases
 from .numlin import FeasibilityError, NumericalError
 from .region import (
     MisoNetwork,
-    m_user_region,
+    _cat,
+    _cross_blocks,
+    _pareto_blocks,
+    _region_blocks,
     pareto_hull,
-    pareto_prune_samples,
-    three_user_region,
     zf_point,
 )
-from .twouser import (
-    fdm_region,
-    fdm_zf_threshold,
-    interference_limited_region,
-    scalar_sud_sum_rate,
-    two_user_region,
-)
+from .twouser import _engine_tables, fdm_region, fdm_zf_threshold, scalar_sud_sum_rate
+
+# not called by the sweeps, which write from blocks; kept so perfbench/tracing.py can patch them
+from .region import m_user_region, pareto_prune_samples, three_user_region  # noqa: F401
+from .twouser import two_user_region  # noqa: F401
 
 __all__ = ["main"]
 
@@ -141,13 +144,8 @@ def bundled_config(name: str) -> dict:
 
 
 def _beam_columns(tag: str, length: int, cplx: bool):
-    if cplx:
-        cols = []
-        for k in range(length):
-            cols.append(f"{tag}_{k + 1}_re")
-            cols.append(f"{tag}_{k + 1}_im")
-        return cols
-    return [f"{tag}_{k + 1}" for k in range(length)]
+    parts = ("_re", "_im") if cplx else ("",)
+    return [f"{tag}_{k + 1}{part}" for k in range(length) for part in parts]
 
 
 def _write_text(path, chunks):
@@ -159,76 +157,66 @@ def _write_text(path, chunks):
             fh.writelines(chunks)
 
 
-def _write_rows(path, header, blocks):
-    """Write CSV, a header and then each block of float rows, to path or stdout.
-
-    Each value is written as repr(float), its shortest round-trip form, and
-    the text is built one block at a time.
-    """
-    def lines():
-        yield ",".join(header) + "\n"
-        for block in blocks:
-            rows = np.asarray(block, dtype=float).tolist()
-            yield "".join(",".join(map(repr, row)) + "\n" for row in rows)
-
-    _write_text(path, lines())
+def _text(rows) -> np.ndarray:
+    """Object array of each float row as comma-joined repr (shortest round trip) text."""
+    out = np.empty(len(rows), dtype=object)
+    out[:] = [",".join(map(repr, row)) for row in np.asarray(rows, dtype=float).tolist()]
+    return out
 
 
-# samples read from a stream, or rows formatted, per step
+def _write_rows(path, header, rows):
+    """Write CSV, a header and then the float rows, to path or stdout."""
+    _write_text(path, [",".join(header) + "\n", *(line + "\n" for line in _text(rows))])
+
+
+# rows formatted per step
 _ROWS_PER_STEP = 4096
 
 
-def _emit_samples(samples, net, out, with_beams):
-    """Stream samples into sorted CSV rows keyed by their angle tuples.
+def _emit_blocks(blocks, net, out, with_beams, pareto=False):
+    """Write a sweep's block stream as CSV rows sorted by their angle keys.
 
     The psi1..psiK columns are each user's mbar_i angles concatenated in user
     order, where mbar_i is the rank of user i's cross channels, so a user
-    whose cross channels vanish adds no column; omega columns follow suit.
-    The stream is read in blocks of float columns (psi, omega, rates, beams;
-    complex beams as interleaved re, im), and one stable sort on the angle
-    columns orders the rows.
+    whose cross channels vanish adds no column; omega columns follow suit,
+    then the rates and the beams (complex ones as interleaved re, im).
+    pareto keeps the rows pareto_prune_samples keeps; one stable lexsort on
+    the angle columns orders the rows.
     """
-    it = iter(samples)
-    try:
-        first = next(it)
-    except StopIteration:
-        raise NumericalError("sweep produced no samples") from None
-    cplx = any(np.iscomplexobj(b) for b in first.beamformers)
-    widths = [len(p.psi) for p in first.params]
+    rows = _pareto_blocks(blocks) if pareto else _cat(list(blocks))
+    if rows is None:
+        raise NumericalError("sweep produced no samples")
+    tables, idx = rows.tables, rows.idx
+    cplx = any(np.iscomplexobj(t.beams) for t in tables)
+    widths = [t.psi.shape[1] for t in tables]
     with_omegas = any(sweeps_phases(k, net.field == "complex") for k in widths)
-    sizes = [np.atleast_1d(b).size for b in first.beamformers]
 
-    n_psi = sum(widths)
-    header = [f"psi{k + 1}" for k in range(n_psi)]
+    header = [f"psi{k + 1}" for k in range(sum(widths))]
+    angles = [(t.psi, ix) for t, ix in zip(tables, idx) if t.psi.shape[1]]
     if with_omegas:
-        header += [f"omega{k + 1}" for k in range(n_psi)]
-    n_key = len(header)
+        header += [f"omega{k + 1}" for k in range(sum(widths))]
+        angles += [(t.omega, ix) for t, ix in zip(tables, idx) if t.psi.shape[1]]
     header += [f"R{i + 1}" for i in range(net.m)]
+    beams = []
     if with_beams:
-        for i, size in enumerate(sizes):
-            header += _beam_columns(f"gamma{i + 1}", size, cplx)
+        for i, (t, ix) in enumerate(zip(tables, idx)):
+            header += _beam_columns(f"gamma{i + 1}", t.beams.shape[1], cplx)
+            cols = t.beams.astype(complex).view(float) if cplx else np.real(t.beams)
+            beams.append((_text(cols), ix))
 
-    def columns(block):
-        n = len(block)
-        cols = [np.array([s.params[i].psi for s in block], dtype=float).reshape(n, k)
-                for i, k in enumerate(widths)]
-        if with_omegas:
-            cols += [np.array([s.params[i].omega for s in block], dtype=float).reshape(n, k)
-                     for i, k in enumerate(widths)]
-        cols.append(np.array([s.rates for s in block], dtype=float))
-        if with_beams:
-            for i, size in enumerate(sizes):
-                beams = np.array([s.beamformers[i] for s in block]).reshape(n, size)
-                cols.append(beams.astype(complex).view(float) if cplx else np.real(beams))
-        return np.hstack(cols)
+    keys = [a[ix, k] for a, ix in angles for k in range(a.shape[1])]
+    order = np.lexsort(keys[::-1]) if keys else np.arange(len(rows))
+    angles = [(_text(a), ix) for a, ix in angles]
 
-    blocks = [columns([first])]
-    while block := list(itertools.islice(it, _ROWS_PER_STEP)):
-        blocks.append(columns(block))
-    rows = np.concatenate(blocks)
-    order = np.lexsort(rows[:, n_key - 1::-1].T) if n_key else np.arange(len(rows))
-    _write_rows(out, header, (rows[order[start:start + _ROWS_PER_STEP]]
-                              for start in range(0, len(rows), _ROWS_PER_STEP)))
+    def lines():
+        yield ",".join(header) + "\n"
+        for start in range(0, len(order), _ROWS_PER_STEP):
+            pick = order[start:start + _ROWS_PER_STEP]
+            cols = [text[ix[pick]] for text, ix in angles] + [_text(rows.rates[pick])]
+            cols += [text[ix[pick]] for text, ix in beams]
+            yield "".join(",".join(parts) + "\n" for parts in zip(*cols))
+
+    _write_text(out, lines())
 
 
 def _add_common(p, network: bool = True):
@@ -254,18 +242,16 @@ def _cmd_region2(args):
     """region2, or ilregion with the caps from --q1/--q2 or the config's 'q'."""
     net = _two_user_from_network(_prepare_network(args))
     grids = (args.grid1 or args.grid, args.grid2 or args.grid)
+    caps = None
     if args.command == "ilregion":
         cfg_q = _load_config_file(args.config).get("q", [None, None])
         q1 = args.q1 if args.q1 is not None else cfg_q[0]
         q2 = args.q2 if args.q2 is not None else cfg_q[1]
         if q1 is None or q2 is None:
             raise ConfigError("ilregion needs interference caps --q1/--q2 (or 'q' in the config)")
-        samples = interference_limited_region(net, float(q1), float(q2), *grids, nats=args.nats)
-    else:
-        samples = two_user_region(net, *grids, nats=args.nats)
-    if args.pareto:
-        samples = pareto_prune_samples(iter(samples))
-    _emit_samples(samples, net, args.out, with_beams=True)
+        caps = (float(q1), float(q2))
+    blocks = _cross_blocks(net, _engine_tables(net, caps, *grids), args.nats)
+    _emit_blocks(blocks, net, args.out, with_beams=True, pareto=args.pareto)
     return 0
 
 
@@ -273,12 +259,9 @@ def _region_m(args, need_m=None):
     net = _prepare_network(args)
     if need_m is not None and net.m != need_m:
         raise ConfigError(f"this subcommand needs an m={need_m} config")
-    gen = (three_user_region if need_m == 3 else m_user_region)(
-        net, grid=args.grid, sampler=args.sampler, seed=args.seed,
-        count=args.count, nats=args.nats,
-    )
-    samples = pareto_prune_samples(gen) if args.pareto else gen
-    _emit_samples(samples, net, args.out, with_beams=False)
+    blocks = _region_blocks(net, grid=args.grid, sampler=args.sampler, seed=args.seed,
+                            count=args.count, nats=args.nats)
+    _emit_blocks(blocks, net, args.out, with_beams=False, pareto=args.pareto)
     return 0
 
 
@@ -286,7 +269,7 @@ def _cmd_zf(args):
     net = _prepare_network(args)
     sample = zf_point(net, nats=args.nats)
     header = [f"R{i + 1}" for i in range(net.m)]
-    _write_rows(args.out, header, [[list(sample.rates)]])
+    _write_rows(args.out, header, [sample.rates])
     return 0
 
 
@@ -295,7 +278,7 @@ def _cmd_fdm(args):
     points = fdm_region(net, grid=args.grid, nats=args.nats)
     alphas = np.linspace(0.0, 1.0, args.grid)
     rows = [[float(a), p.r1, p.r2] for a, p in zip(alphas, points)]
-    _write_rows(args.out, ["alpha", "R1", "R2"], [rows])
+    _write_rows(args.out, ["alpha", "R1", "R2"], rows)
     return 0
 
 
@@ -309,10 +292,10 @@ def _cmd_scalar_sum(args):
 
 def _cmd_hull(args):
     net = _prepare_network(args)
-    gen = m_user_region(net, grid=args.grid, nats=args.nats)
-    points = pareto_hull(list(gen), mode=args.mode)
+    blocks = _region_blocks(net, grid=args.grid, nats=args.nats)
+    points = pareto_hull(np.concatenate([b.rates for b in blocks]), mode=args.mode)
     rows = sorted(list(p) for p in points)
-    _write_rows(args.out, [f"R{i + 1}" for i in range(net.m)], [rows])
+    _write_rows(args.out, [f"R{i + 1}" for i in range(net.m)], rows)
     return 0
 
 

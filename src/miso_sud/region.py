@@ -5,6 +5,11 @@ angles in its reduced frame; rate tuples follow by treating interference as
 noise.  This module owns the network/sample containers, the grid and random
 sweep drivers, the zero-forcing and single-user-maximum special points, and
 Pareto/hull post-processing of rate points.
+
+A beam fixes its own signal and leaks whatever the other beams are, so a
+sweep is a stream of blocks: a table of rows per user (angles, signal,
+leaks, beams), per-user row indices and the rates.  The public generators
+wrap blocks into RegionSamples; the command line writes CSV from blocks.
 """
 
 from __future__ import annotations
@@ -131,69 +136,108 @@ def _user_frame(net: MisoNetwork, i: int, order=None) -> tuple[ReducedFrame, lis
     return frame, order
 
 
+@dataclass(eq=False)
 class _UserTable:
-    """Sweep rows of one transmitter: params, signal, leaks, beams (internal).
+    """Sweep rows of one transmitter: (n, mbar) psi and omega angles (omega
+    zero where phases are not swept), signal, leaks and beams (internal).
+    targets[c] is the receiver that leak column c of zsq reaches."""
 
-    targets[c] is the receiver that leak column c of zsq reaches.
-    """
+    targets: list
+    psi: np.ndarray
+    omega: np.ndarray
+    signal: np.ndarray
+    zsq: np.ndarray
+    beams: np.ndarray
+    _rows: tuple = None
 
-    __slots__ = ("targets", "params", "signal", "zsq", "beams")
+    def rows(self):
+        """Each row's SphericalParams and read-only beam, built on first use."""
+        if self._rows is None:
+            self.beams.setflags(write=False)
+            params = [SphericalParams._of_floats(tuple(p), tuple(o))
+                      for p, o in zip(self.psi.tolist(), self.omega.tolist())]
+            self._rows = (params, list(self.beams))
+        return self._rows
 
-    def __init__(self, targets, angles, n_psi, signal, zsq, beams):
-        self.targets = targets
-        # built once per row, since the cross product revisits every row
-        if angles.shape[1] not in (n_psi, 2 * n_psi):
-            raise ValueError("psi and omega must have equal length")
-        zeros = (0.0,) * n_psi
-        self.params = [SphericalParams._of_floats(tuple(row[:n_psi]), tuple(row[n_psi:]) or zeros)
-                       for row in angles.tolist()]
-        self.signal = signal
-        self.zsq = zsq
-        # one read-only array per row, shared by every sample that uses it
-        beams.setflags(write=False)
-        self.beams = list(beams)
+
+@dataclass(eq=False)
+class _Block:
+    """Sweep rows: row r takes row idx[i][r] of tables[i] and has rates[r] (internal)."""
+
+    tables: list
+    idx: list
+    rates: np.ndarray
 
     def __len__(self):
-        return len(self.params)
+        return len(self.rates)
+
+    def __getitem__(self, rows):
+        return _Block(self.tables, [ix[rows] for ix in self.idx], self.rates[rows])
+
+
+def _cat(blocks):
+    """The rows of blocks as one block (None if none), on their shared tables
+    or else on new tables gathered from theirs."""
+    if len(blocks) <= 1:
+        return blocks[0] if blocks else None
+    rates = np.concatenate([b.rates for b in blocks])
+    first = blocks[0].tables
+    if all(b.tables is first for b in blocks):
+        return _Block(first, [np.concatenate(ix) for ix in zip(*(b.idx for b in blocks))], rates)
+
+    def gather(i, name):
+        return np.concatenate([getattr(b.tables[i], name)[b.idx[i]] for b in blocks])
+    cols = ("psi", "omega", "signal", "zsq", "beams")
+    tables = [_UserTable(t.targets, *(gather(i, c) for c in cols)) for i, t in enumerate(first)]
+    return _Block(tables, [np.arange(len(rates))] * len(tables), rates)
 
 
 def _grid_table(frame: ReducedFrame, targets, power: float, psi_axes,
                 omega_axes=None) -> _UserTable:
     angles, _, signal, zsq, beams = rank_one_table(frame, power, psi_axes, omega_axes)
-    return _UserTable(targets, angles, frame.mbar, signal, zsq, beams)
+    k = frame.mbar
+    omega = angles[:, k:] if omega_axes is not None else np.zeros_like(angles)
+    return _UserTable(targets, angles[:, :k], omega, signal, zsq, beams)
 
 
-def _emit_rows(net: MisoNetwork, tables, idx, nats: bool):
-    """RegionSamples whose user i takes row idx[i][r] of its table, r = 0, 1, ..."""
-    m = net.m
-    sig = np.stack([tables[i].signal[idx[i]] for i in range(m)], axis=0)
+def _cross_rates(net: MisoNetwork, tables, idx, nats: bool) -> np.ndarray:
+    """(n, m) rates of the rows whose user i takes row idx[i][r] of its table."""
+    sig = np.stack([t.signal[ix] for t, ix in zip(tables, idx)], axis=0)
     itf = np.zeros_like(sig)
-    inter = np.zeros((sig.shape[1], m, m))
-    for j, t in enumerate(tables):
-        zj = t.zsq[idx[j]]
+    for t, ix in zip(tables, idx):
+        zj = t.zsq[ix]
         for c, rx in enumerate(t.targets):
             itf[rx] += zj[:, c]
-        inter[:, j, j] = sig[j]
-        inter[:, j, t.targets] = zj
-    rates = rate_from_sinr(sig / (1.0 + itf), net.prefactor, nats).T.tolist()
-    rows = [ix.tolist() for ix in idx]
-    params = zip(*[[t.params[k] for k in ks] for t, ks in zip(tables, rows)])
-    beams = zip(*[[t.beams[k] for k in ks] for t, ks in zip(tables, rows)])
-    for p, r, b, it in zip(params, rates, beams, inter):
-        yield RegionSample(params=p, rates=tuple(r), beamformers=b, interference=it.copy())
+    return np.ascontiguousarray(rate_from_sinr(sig / (1.0 + itf), net.prefactor, nats).T)
 
 
-def _emit_cross(net: MisoNetwork, tables, nats: bool, chunk: int = 8192):
-    """Stream RegionSamples over the cross product of per-user tables."""
-    sizes = [len(t) for t in tables]
+def _samples(blocks):
+    """Stream the RegionSamples of a block stream, one per row."""
+    for b in blocks:
+        m = len(b.tables)
+        inter = np.zeros((len(b), m, m))
+        for j, (t, ix) in enumerate(zip(b.tables, b.idx)):
+            inter[:, j, j] = t.signal[ix]
+            inter[:, j, t.targets] = t.zsq[ix]
+        rows = [t.rows() for t in b.tables]
+        picks = [ix.tolist() for ix in b.idx]
+        params = zip(*[[r[0][k] for k in ks] for r, ks in zip(rows, picks)])
+        beams = zip(*[[r[1][k] for k in ks] for r, ks in zip(rows, picks)])
+        for p, r, bm, it in zip(params, b.rates.tolist(), beams, inter):
+            yield RegionSample(params=p, rates=tuple(r), beamformers=bm, interference=it.copy())
+
+
+def _cross_blocks(net: MisoNetwork, tables, nats: bool, chunk: int = 8192):
+    """Stream blocks over the cross product of per-user tables."""
+    sizes = [len(t.signal) for t in tables]
     total = int(np.prod(sizes))
     for start in range(0, total, chunk):
-        flat = np.arange(start, min(start + chunk, total))
-        yield from _emit_rows(net, tables, np.unravel_index(flat, sizes), nats)
+        idx = np.unravel_index(np.arange(start, min(start + chunk, total)), sizes)
+        yield _Block(tables, idx, _cross_rates(net, tables, idx, nats))
 
 
-def _random_stream(net: MisoNetwork, seed: int, count: int, nats: bool, chunk: int = 8192):
-    """Stream RegionSamples whose angles are drawn i.i.d. uniform, user by user."""
+def _random_blocks(net: MisoNetwork, seed: int, count: int, nats: bool, chunk: int = 8192):
+    """Stream blocks whose angles are drawn i.i.d. uniform, user by user."""
     rng = np.random.default_rng(seed)
     frames = [_user_frame(net, i) for i in range(net.m)]
     cplx = net.field == "complex"
@@ -208,28 +252,22 @@ def _random_stream(net: MisoNetwork, seed: int, count: int, nats: bool, chunk: i
             if sweeps_phases(mbar, cplx):
                 omegas[:, 1:] = rng.uniform(0.0, 2 * np.pi, size=(n, mbar - 1))
             _, signal, zsq, beams = rank_one_rows(frame, net.powers[i], psis, omegas)
-            angles = np.concatenate([psis, omegas], axis=1)
-            tables.append(_UserTable(order, angles, mbar, signal, zsq, beams))
-        yield from _emit_rows(net, tables, [np.arange(n)] * net.m, nats)
+            tables.append(_UserTable(order, psis, omegas, signal, zsq, beams))
+        idx = [np.arange(n)] * net.m
+        yield _Block(tables, idx, _cross_rates(net, tables, idx, nats))
         done += n
 
 
-def m_user_region(net: MisoNetwork, grid: int = 24, sampler: str = "grid",
-                  seed: int = 0, count: int = 1_000_000, axes=None,
-                  nats: bool = False):
-    """Stream achievable rate samples over per-user spherical sweeps.
-
-    sampler 'grid' sweeps each user's angles over uniform closed grids (or
-    explicit per-user ``axes``, a list with one list of axis arrays per
-    user); sampler 'random' draws ``count`` i.i.d. uniform tuples from a
-    seeded generator.  Samples arrive in deterministic order either way.
-    """
+def _region_blocks(net: MisoNetwork, grid: int = 24, sampler: str = "grid",
+                   seed: int = 0, count: int = 1_000_000, axes=None,
+                   nats: bool = False):
+    """Stream the blocks of m_user_region (same arguments, same row order)."""
     if all(p == 0.0 for p in net.powers):
         # every beam is zero, so the whole region is the origin
-        yield zf_point(net, nats)
+        yield _zf_block(net, nats)
         return
     if sampler == "random":
-        yield from _random_stream(net, seed, count, nats)
+        yield from _random_blocks(net, seed, count, nats)
         return
     if sampler != "grid":
         raise ValueError(f"unknown sampler '{sampler}'")
@@ -248,7 +286,20 @@ def m_user_region(net: MisoNetwork, grid: int = 24, sampler: str = "grid",
         else:
             psi_axes, omega_axes = default_axes(frame.mbar, grid, cplx)
         tables.append(_grid_table(frame, order, net.powers[i], psi_axes, omega_axes))
-    yield from _emit_cross(net, tables, nats)
+    yield from _cross_blocks(net, tables, nats)
+
+
+def m_user_region(net: MisoNetwork, grid: int = 24, sampler: str = "grid",
+                  seed: int = 0, count: int = 1_000_000, axes=None,
+                  nats: bool = False):
+    """Stream achievable rate samples over per-user spherical sweeps.
+
+    sampler 'grid' sweeps each user's angles over uniform closed grids (or
+    explicit per-user ``axes``, a list with one list of axis arrays per
+    user); sampler 'random' draws ``count`` i.i.d. uniform tuples from a
+    seeded generator.  Samples arrive in deterministic order either way.
+    """
+    yield from _samples(_region_blocks(net, grid, sampler, seed, count, axes, nats))
 
 
 def three_user_region(net: MisoNetwork, grid: int = 24, sampler: str = "grid",
@@ -261,6 +312,15 @@ def three_user_region(net: MisoNetwork, grid: int = 24, sampler: str = "grid",
                              count=count, axes=axes, nats=nats)
 
 
+def _zf_block(net: MisoNetwork, nats: bool) -> _Block:
+    tables = []
+    for i in range(net.m):
+        frame, order = _user_frame(net, i)
+        psi_axes = [np.zeros(1)] * frame.mbar
+        tables.append(_grid_table(frame, order, net.powers[i], psi_axes))
+    return next(_cross_blocks(net, tables, nats))
+
+
 def zf_point(net: MisoNetwork, nats: bool = False) -> RegionSample:
     """The all-angles-zero sample: zero interference everywhere.
 
@@ -268,12 +328,7 @@ def zf_point(net: MisoNetwork, nats: bool = False) -> RegionSample:
     orthogonal to all cross channels.  A transmitter with no such component
     (reduced residual empty) simply gets rate zero.
     """
-    tables = []
-    for i in range(net.m):
-        frame, order = _user_frame(net, i)
-        psi_axes = [np.zeros(1)] * frame.mbar
-        tables.append(_grid_table(frame, order, net.powers[i], psi_axes))
-    return next(_emit_cross(net, tables, nats))
+    return next(_samples([_zf_block(net, nats)]))
 
 
 def _invert_gamma_to_psi(gamma: np.ndarray) -> np.ndarray:
@@ -328,7 +383,7 @@ def single_user_max_surface(net: MisoNetwork, user: int, grid: int = 24,
             if frame.mbar == 0:
                 psi_axes = []
         tables.append(_grid_table(frame, order, net.powers[i], psi_axes))
-    yield from _emit_cross(net, tables, nats)
+    yield from _samples(_cross_blocks(net, tables, nats))
 
 
 def _as_points(samples) -> np.ndarray:
@@ -378,34 +433,36 @@ def pareto_filter(points: np.ndarray) -> np.ndarray:
     return keep
 
 
+def _pareto_archive(pieces, cat):
+    """Pareto-maximal rows (None if none) of a stream of (points, rows) pieces,
+    each filtered after the rows kept so far; cat([kept, rows]) joins two."""
+    arch_pts = arch = None
+    for pts, rows in pieces:
+        if arch is not None:
+            pts, rows = np.vstack([arch_pts, pts]), cat([arch, rows])
+        mask = pareto_filter(pts)
+        arch_pts, arch = pts[mask], rows[mask]
+    return arch
+
+
 def pareto_prune_samples(samples, chunk: int = 4096) -> list:
     """Pareto-maximal RegionSamples of a stream, pruning incrementally."""
-    archive: list = []
-    arch_pts = np.zeros((0, 0))
-    buf: list = []
+    def pieces():
+        it = iter(samples)
+        while buf := [s for _, s in zip(range(chunk), it)]:
+            yield _as_points(buf), np.fromiter(buf, dtype=object, count=len(buf))
 
-    def flush():
-        nonlocal archive, arch_pts, buf
-        if not buf:
-            return
-        pts = _as_points(buf)
-        if arch_pts.size:
-            allpts = np.vstack([arch_pts, pts])
-            allsmp = archive + buf
-        else:
-            allpts = pts
-            allsmp = buf
-        mask = pareto_filter(allpts)
-        archive = [s for s, k in zip(allsmp, mask) if k]
-        arch_pts = allpts[mask]
-        buf = []
+    kept = _pareto_archive(pieces(), np.concatenate)
+    return [] if kept is None else list(kept)
 
-    for s in samples:
-        buf.append(s)
-        if len(buf) >= chunk:
-            flush()
-    flush()
-    return archive
+
+def _pareto_blocks(blocks, chunk: int = 4096):
+    """Pareto-maximal rows of a block stream as one block (None if empty):
+    like pareto_prune_samples, it keeps a row iff no row before it by
+    descending sum, then stream order, dominates it, in stream order, so
+    block sizes and chunk cuts do not change the result."""
+    pieces = (b[s:s + chunk] for b in blocks for s in range(0, len(b), chunk))
+    return _pareto_archive(((p.rates, p) for p in pieces), _cat)
 
 
 def _hull_2d(points: np.ndarray) -> list:

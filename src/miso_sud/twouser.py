@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .numlin import FeasibilityError, unitary_completion
-from .region import MisoNetwork, _emit_cross, _grid_table, _user_frame, rate_from_sinr
+from .region import MisoNetwork, _cross_blocks, _grid_table, _samples, _user_frame, rate_from_sinr
 
 __all__ = [
     "TwoUserChannel",
@@ -129,14 +129,25 @@ def max_signal_given_interference(h1, h3, p: float, z: float):
     return gamma, float(value)
 
 
-def _engine_sweep(net: MisoNetwork, bars, grid1: int, grid2: int,
-                  nats: bool) -> list:
-    """Cross product of psi_i in linspace(0, bars[i], grid_i) on the m-user engine.
+def _engine_tables(net: MisoNetwork, caps, grid1: int, grid2: int) -> list:
+    """Per-user tables of psi_i in linspace(0, bar_i, grid_i) on the m-user engine.
 
-    The table row at psi is max_signal_given_interference at the level
-    sqrt(p) * ||h_cross|| * sin(psi).  A zero cross channel leaves no angle
-    (mbar = 0): that user's one row is its matched filter, with empty psi.
+    bar_i is pi/2 - theta_i, or less under caps = (q1, q2) as
+    interference_limited_region describes.  The table row at psi is
+    max_signal_given_interference at the level sqrt(p) * ||h_cross|| *
+    sin(psi).  A zero cross channel leaves no angle (mbar = 0): that user's
+    one row is its matched filter, with empty psi.
     """
+    if caps is not None and any(q < 0 for q in caps):
+        raise ValueError("interference caps must be non-negative")
+    bars = [np.pi / 2 - theta for theta in cross_angles(net)]
+    if caps is not None:
+        norms = [float(np.linalg.norm(net.h(i, 1 - i))) for i in range(2)]
+        if 0.0 in norms:
+            raise FeasibilityError("interference-limited sweep needs nonzero cross channels")
+        for i, (q, p, nc) in enumerate(zip(caps, net.powers, norms)):
+            if p != 0.0:
+                bars[i] = min(bars[i], np.arcsin(np.sqrt(np.clip(q / (p * nc**2), 0.0, 1.0))))
     if grid1 < 2 or grid2 < 2:
         raise ValueError("grid sizes must be at least 2")
     tables = []
@@ -144,7 +155,7 @@ def _engine_sweep(net: MisoNetwork, bars, grid1: int, grid2: int,
         frame, order = _user_frame(net, i)
         psi_axes = [np.linspace(0.0, bar, grid)] * frame.mbar
         tables.append(_grid_table(frame, order, net.powers[i], psi_axes))
-    return list(_emit_cross(net, tables, nats))
+    return tables
 
 
 def two_user_region(net: MisoNetwork, grid1: int = 181, grid2: int = 181,
@@ -155,8 +166,8 @@ def two_user_region(net: MisoNetwork, grid1: int = 181, grid2: int = 181,
     samples carries both beamformers, both rates, and the signal and
     interference powers behind them.
     """
-    bars = tuple(np.pi / 2 - theta for theta in cross_angles(net))
-    return _engine_sweep(net, bars, grid1, grid2, nats)
+    tables = _engine_tables(net, None, grid1, grid2)
+    return list(_samples(_cross_blocks(net, tables, nats)))
 
 
 def interference_limited_region(net: MisoNetwork, q1: float, q2: float,
@@ -168,20 +179,8 @@ def interference_limited_region(net: MisoNetwork, q1: float, q2: float,
     asin(sqrt(q_i / (p_i ||h_cross||^2))))].  Both cross channels must be
     nonzero for the caps to be meaningful.
     """
-    if q1 < 0 or q2 < 0:
-        raise ValueError("interference caps must be non-negative")
-    thetas = cross_angles(net)
-    norms = [float(np.linalg.norm(net.h(i, 1 - i))) for i in range(2)]
-    if 0.0 in norms:
-        raise FeasibilityError("interference-limited sweep needs nonzero cross channels")
-    bars = []
-    for theta, q, p, nc in zip(thetas, (q1, q2), net.powers, norms):
-        if p == 0.0:
-            bars.append(np.pi / 2 - theta)
-            continue
-        cap = np.arcsin(np.sqrt(np.clip(q / (p * nc**2), 0.0, 1.0)))
-        bars.append(min(np.pi / 2 - theta, cap))
-    return _engine_sweep(net, bars, grid1, grid2, nats)
+    tables = _engine_tables(net, (q1, q2), grid1, grid2)
+    return list(_samples(_cross_blocks(net, tables, nats)))
 
 
 def scalar_sud_sum_rate(p1: float, p2: float, a: float, b: float,

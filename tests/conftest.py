@@ -1,6 +1,13 @@
 """Shared fixtures: reference channels and random instance helpers."""
 
-import numpy as np
+import os
+
+# one BLAS thread, as perfbench/run.py sets it, before numpy is first imported:
+# SLSQP's rounding in best_rank_one_sweep depends on the thread count
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
 import pytest
 
 from miso_sud.oracle import ConstrainedMaxProblem

@@ -13,11 +13,24 @@ import pytest
 
 import miso_sud
 import miso_sud.cli as cli
+import miso_sud.region as region
 from miso_sud.cli import bundled_config, load_network, main, network_config
 from miso_sud.mreduce import SphericalParams
 from miso_sud.numlin import NumericalError
-from miso_sud.region import MisoNetwork, RegionSample, m_user_region, three_user_region
-from miso_sud.twouser import TwoUserChannel, cross_angles, scalar_sud_sum_rate, two_user_region
+from miso_sud.region import (
+    MisoNetwork,
+    RegionSample,
+    m_user_region,
+    pareto_prune_samples,
+    three_user_region,
+)
+from miso_sud.twouser import (
+    TwoUserChannel,
+    cross_angles,
+    interference_limited_region,
+    scalar_sud_sum_rate,
+    two_user_region,
+)
 from tests.conftest import (
     build_symmetric_pair,
     build_three_user,
@@ -317,8 +330,8 @@ class TestErrorPaths:
 
 
 def _reference_csv(samples, net, with_beams) -> bytes:
-    """The per-sample formatter that cli._emit_samples replaced (a key tuple
-    and a row per sample, one sort of the tuples), kept as its reference."""
+    """A per-sample CSV formatter (a key tuple and a row per sample, one sort
+    of the tuples), kept as the reference for the block writer."""
     samples = list(samples)
     first = samples[0]
     cplx = any(np.iscomplexobj(b) for b in first.beamformers)
@@ -403,6 +416,24 @@ def _csv_cases():
     }
 
 
+def _blocks_of(samples, size=7):
+    """The samples as blocks of up to size rows, each on tables of its own."""
+    for start in range(0, len(samples), size):
+        part = samples[start:start + size]
+        n = len(part)
+        tables = []
+        for i, (par, beam) in enumerate(zip(part[0].params, part[0].beamformers)):
+            k, t = len(par.psi), np.atleast_1d(beam).size
+            tables.append(region._UserTable(
+                None,
+                np.array([s.params[i].psi for s in part], dtype=float).reshape(n, k),
+                np.array([s.params[i].omega for s in part], dtype=float).reshape(n, k),
+                np.zeros(n), np.zeros((n, 0)),
+                np.array([s.beamformers[i] for s in part]).reshape(n, t)))
+        yield region._Block(tables, [np.arange(n)] * len(tables),
+                            np.array([s.rates for s in part], dtype=float))
+
+
 class TestCsvWriterGolden:
     @pytest.mark.parametrize("step", [5, 4096])
     @pytest.mark.parametrize("case", sorted(_csv_cases()))
@@ -410,7 +441,7 @@ class TestCsvWriterGolden:
         net, samples, with_beams = _csv_cases()[case]
         monkeypatch.setattr(cli, "_ROWS_PER_STEP", step)
         out = tmp_path / "out.csv"
-        cli._emit_samples(iter(samples), net, str(out), with_beams)
+        cli._emit_blocks(_blocks_of(samples), net, str(out), with_beams)
         assert out.read_bytes() == _reference_csv(samples, net, with_beams)
 
     def test_float_beam_case_mixes_dtypes(self):
@@ -419,12 +450,97 @@ class TestCsvWriterGolden:
 
     def test_stdout_matches_reference_bytes(self, capsysbinary):
         net, samples, with_beams = _csv_cases()["complex_beams"]
-        cli._emit_samples(samples, net, None, with_beams)
+        cli._emit_blocks(_blocks_of(samples), net, None, with_beams)
         assert capsysbinary.readouterr().out == _reference_csv(samples, net, with_beams)
 
     def test_empty_stream_is_a_numerical_failure(self):
         with pytest.raises(NumericalError):
-            cli._emit_samples(iter([]), build_symmetric_pair(), None, True)
+            cli._emit_blocks(iter([]), build_symmetric_pair(), None, True)
+
+
+def _complex_pair_config():
+    return network_config(random_pair_channel(np.random.default_rng(12), dim=3, cplx=True))
+
+
+def _zero_cross_config():
+    # transmitter 1's channel to receiver 2 is zero, so user 1 has no angle
+    doc = network_config(random_pair_channel(np.random.default_rng(13), dim=3, cplx=True))
+    doc["channels"][0][1] = [[0.0, 0.0]] * 3
+    return doc
+
+
+def _zero_power_config():
+    doc = bundled_config("paper_sec4")
+    doc["powers"] = [0.0, 0.0, 0.0]
+    return doc
+
+
+def _pareto(stream):
+    return lambda *a, **k: pareto_prune_samples(stream(*a, **k))
+
+
+# command, config, extra flags, the public RegionSample stream it writes
+# (called with the network, the grid and --nats) and whether beams are written.
+# region2 at grid 100 (10,000 rows) and the random sampler at count 9,000
+# span two 8,192-row blocks, so the writer joins blocks before its one sort.
+_CLI_CASES = {
+    "region2_real_grid100": ("region2", "fig3", ["--grid", "100", "--real"],
+                             lambda net, g, nats: two_user_region(net, g, g, nats), True),
+    "region2_complex_grid100": ("region2", _complex_pair_config, ["--grid", "100"],
+                                lambda net, g, nats: two_user_region(net, g, g, nats), True),
+    "ilregion_nats_real": ("ilregion", "fig4", ["--grid", "30", "--q1", "0.25", "--q2", "0.4",
+                                                "--nats", "--real"],
+                           lambda net, g, nats: interference_limited_region(
+                               net, 0.25, 0.4, g, g, nats), True),
+    "region2_pareto": ("region2", "fig5", ["--grid", "70", "--pareto"],
+                       _pareto(lambda net, g, nats: two_user_region(net, g, g, nats)), True),
+    "region3_pareto": ("region3", "paper_sec4", ["--grid", "5", "--pareto"],
+                       _pareto(lambda net, g, nats: three_user_region(net, grid=g, nats=nats)),
+                       False),
+    "region3_random_two_chunks": ("region3", "paper_sec4",
+                                  ["--sampler", "random", "--count", "9000", "--seed", "3"],
+                                  lambda net, g, nats: three_user_region(
+                                      net, sampler="random", count=9000, seed=3), False),
+    "region3_random_pareto": ("region3", "paper_sec4",
+                              ["--sampler", "random", "--count", "9000", "--seed", "4",
+                               "--pareto"],
+                              _pareto(lambda net, g, nats: three_user_region(
+                                  net, sampler="random", count=9000, seed=4)), False),
+    "regionm_complex_omegas": ("regionm", lambda: network_config(build_three_user("complex")),
+                               ["--grid", "3"],
+                               lambda net, g, nats: m_user_region(net, grid=g), False),
+    "regionm_pareto": ("regionm", "fig3", ["--grid", "40", "--pareto"],
+                       _pareto(lambda net, g, nats: m_user_region(net, grid=g)), False),
+    "region2_zero_cross": ("region2", _zero_cross_config, ["--grid", "9"],
+                           lambda net, g, nats: two_user_region(net, g, g, nats), True),
+    "region2_zero_cross_pareto": ("region2", _zero_cross_config, ["--grid", "9", "--pareto"],
+                                  _pareto(lambda net, g, nats: two_user_region(net, g, g, nats)),
+                                  True),
+    "region3_zero_power": ("region3", _zero_power_config, ["--grid", "5"],
+                           lambda net, g, nats: three_user_region(net, grid=g), False),
+}
+
+
+class TestCliBytesMatchSampleStream:
+    """The sweep commands write from blocks; their CSV must be byte for byte
+    what the reference per-sample writer makes of the public RegionSample stream."""
+
+    @pytest.mark.parametrize("case", sorted(_CLI_CASES))
+    def test_csv_bytes(self, case, tmp_path):
+        command, config, flags, stream, with_beams = _CLI_CASES[case]
+        doc = bundled_config(config) if isinstance(config, str) else config()
+        src = tmp_path / "config.json"
+        src.write_text(json.dumps(doc))
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", str(src), *flags, "--out", str(out)]) == 0
+        net = load_network(doc, force_real="--real" in flags)
+        grid = int(flags[flags.index("--grid") + 1]) if "--grid" in flags else 24
+        want = _reference_csv(stream(net, grid, "--nats" in flags), net, with_beams)
+        assert out.read_bytes() == want
+
+    def test_zero_cross_case_leaves_a_user_without_angles(self):
+        net = load_network(_zero_cross_config())
+        assert [len(p.psi) for p in two_user_region(net, 3, 3)[0].params] == [0, 1]
 
 
 def test_benchmark_probes_resolve():

@@ -390,6 +390,29 @@ class TestParetoFilterEquivalence:
         want = pareto_prune_samples(iter(samples), chunk=chunk)
         assert [id(s) for s in got] == [id(s) for s in want]
 
+    @pytest.mark.parametrize("sizes", [(97, 1000, 3), (300,), (5000, 64)])
+    def test_block_pruning_does_not_depend_on_block_sizes(self, sizes):
+        # tie-heavy rows cut into blocks of other sizes than the samples'
+        # chunks keep the rows pareto_prune_samples keeps, in its order
+        pts = _tie_heavy_points(6000, 3, 11)
+        whole = region._Block([None], [np.arange(len(pts))], pts)
+        cuts = np.cumsum(np.resize(sizes, len(pts)))
+        cuts = [0, *cuts[cuts < len(pts)].tolist(), len(pts)]
+        kept = region._pareto_blocks((whole[a:b] for a, b in zip(cuts, cuts[1:])), chunk=300)
+        rows = [SimpleNamespace(rates=tuple(p), row=k) for k, p in enumerate(pts)]
+        want = pareto_prune_samples(rows, chunk=300)
+        assert kept.idx[0].tolist() == [s.row for s in want]
+
+    def test_random_blocks_prune_like_their_samples(self, three_user_net):
+        # random blocks each carry their own tables, which pruning gathers
+        def blocks():
+            return region._random_blocks(three_user_net, 3, 2000, False, chunk=700)
+
+        kept = region._pareto_blocks(blocks(), chunk=300)
+        want = pareto_prune_samples(region._samples(blocks()), chunk=300)
+        got = list(region._samples([kept]))
+        assert [(s.params, s.rates) for s in got] == [(s.params, s.rates) for s in want]
+
     def test_prune_tie_heavy_points_archive_merge(self, monkeypatch):
         samples = [SimpleNamespace(rates=tuple(p)) for p in _tie_heavy_points(2000, 3, 5)]
         got = pareto_prune_samples(samples, chunk=300)
