@@ -9,7 +9,11 @@ serialized with shortest round-trip precision.
 The sweep commands write from the region module's block stream (per-user
 tables, per-user row indices, rates) and build no per-sample objects: each
 table row's angle and beam text is formatted once and gathered per output
-row, and only the rates are formatted row by row.
+row, and only the rates are formatted row by row.  Under --pareto a grid
+sweep first drops, from each user's table, the rows that another row of it
+beats (at least the signal, at most every leak), then writes the exact
+Pareto front of the cross product of what is left: the sweep's distinct
+front points, without the angle rows that tie them through a beaten row.
 """
 
 from __future__ import annotations
@@ -28,7 +32,9 @@ from .region import (
     MisoNetwork,
     _cat,
     _cross_blocks,
+    _grid_tables,
     _pareto_blocks,
+    _pruned_tables,
     _region_blocks,
     pareto_hull,
     zf_point,
@@ -180,8 +186,8 @@ def _emit_blocks(blocks, net, out, with_beams, pareto=False):
     order, where mbar_i is the rank of user i's cross channels, so a user
     whose cross channels vanish adds no column; omega columns follow suit,
     then the rates and the beams (complex ones as interleaved re, im).
-    pareto keeps the rows pareto_prune_samples keeps; one stable lexsort on
-    the angle columns orders the rows.
+    pareto keeps the rows that no row of the stream dominates; one stable
+    lexsort on the angle columns orders the rows.
     """
     rows = _pareto_blocks(blocks) if pareto else _cat(list(blocks))
     if rows is None:
@@ -250,17 +256,26 @@ def _cmd_region2(args):
         if q1 is None or q2 is None:
             raise ConfigError("ilregion needs interference caps --q1/--q2 (or 'q' in the config)")
         caps = (float(q1), float(q2))
-    blocks = _cross_blocks(net, _engine_tables(net, caps, *grids), args.nats)
+    blocks = _sweep(net, _engine_tables(net, caps, *grids), args)
     _emit_blocks(blocks, net, args.out, with_beams=True, pareto=args.pareto)
     return 0
+
+
+def _sweep(net, tables, args):
+    """Blocks over the cross product of per-user tables, each table pruned to
+    the rows no other row of it beats under --pareto (region._pruned_tables)."""
+    return _cross_blocks(net, _pruned_tables(tables) if args.pareto else tables, args.nats)
 
 
 def _region_m(args, need_m=None):
     net = _prepare_network(args)
     if need_m is not None and net.m != need_m:
         raise ConfigError(f"this subcommand needs an m={need_m} config")
-    blocks = _region_blocks(net, grid=args.grid, sampler=args.sampler, seed=args.seed,
-                            count=args.count, nats=args.nats)
+    if args.sampler == "random":
+        blocks = _region_blocks(net, sampler="random", seed=args.seed, count=args.count,
+                                nats=args.nats)
+    else:
+        blocks = _sweep(net, _grid_tables(net, args.grid), args)
     _emit_blocks(blocks, net, args.out, with_beams=False, pareto=args.pareto)
     return 0
 
@@ -292,7 +307,8 @@ def _cmd_scalar_sum(args):
 
 def _cmd_hull(args):
     net = _prepare_network(args)
-    blocks = _region_blocks(net, grid=args.grid, nats=args.nats)
+    # the pruned tables reach the sweep's downward closure with far fewer rows
+    blocks = _cross_blocks(net, _pruned_tables(_grid_tables(net, args.grid)), args.nats)
     points = pareto_hull(np.concatenate([b.rates for b in blocks]), mode=args.mode)
     rows = sorted(list(p) for p in points)
     _write_rows(args.out, [f"R{i + 1}" for i in range(net.m)], rows)
@@ -448,13 +464,14 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
-        return 1
     except (FeasibilityError, NumericalError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:
+        # ConfigError, and the argument checks of the sweep drivers (grid sizes, caps)
+        print(f"error: {exc}", file=sys.stderr)
+        parser.print_usage(sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

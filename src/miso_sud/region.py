@@ -160,6 +160,10 @@ class _UserTable:
         return self._rows
 
 
+# the per-row array fields of _UserTable
+_COLUMNS = ("psi", "omega", "signal", "zsq", "beams")
+
+
 @dataclass(eq=False)
 class _Block:
     """Sweep rows: row r takes row idx[i][r] of tables[i] and has rates[r] (internal)."""
@@ -187,8 +191,7 @@ def _cat(blocks):
 
     def gather(i, name):
         return np.concatenate([getattr(b.tables[i], name)[b.idx[i]] for b in blocks])
-    cols = ("psi", "omega", "signal", "zsq", "beams")
-    tables = [_UserTable(t.targets, *(gather(i, c) for c in cols)) for i, t in enumerate(first)]
+    tables = [_UserTable(t.targets, *(gather(i, c) for c in _COLUMNS)) for i, t in enumerate(first)]
     return _Block(tables, [np.arange(len(rates))] * len(tables), rates)
 
 
@@ -236,6 +239,25 @@ def _cross_blocks(net: MisoNetwork, tables, nats: bool, chunk: int = 8192):
         yield _Block(tables, idx, _cross_rates(net, tables, idx, nats))
 
 
+def _pruned_tables(tables) -> list:
+    """Each table without the rows that another row of it beats: at least its
+    signal, at most each of its leaks, and strictly better in one.
+
+    A user's own rate rises with its signal and the other users' rates fall
+    with its leaks, monotonically even in floating point (_cross_rates sums
+    the leaks in a fixed order, then divides and takes log1p), so putting a
+    beating row in place of a beaten one lowers no rate.  Hence the cross
+    product of the pruned tables reaches every Pareto-maximal rate point of
+    the full one, and its own maximal rows are maximal in the full one; the
+    rows lost are those whose rates tie a kept row bit for bit.
+    """
+    out = []
+    for t in tables:
+        keep = pareto_filter(np.column_stack([t.signal, -t.zsq]))
+        out.append(_UserTable(t.targets, *(getattr(t, c)[keep] for c in _COLUMNS)))
+    return out
+
+
 def _random_blocks(net: MisoNetwork, seed: int, count: int, nats: bool, chunk: int = 8192):
     """Stream blocks whose angles are drawn i.i.d. uniform, user by user."""
     rng = np.random.default_rng(seed)
@@ -258,19 +280,12 @@ def _random_blocks(net: MisoNetwork, seed: int, count: int, nats: bool, chunk: i
         done += n
 
 
-def _region_blocks(net: MisoNetwork, grid: int = 24, sampler: str = "grid",
-                   seed: int = 0, count: int = 1_000_000, axes=None,
-                   nats: bool = False):
-    """Stream the blocks of m_user_region (same arguments, same row order)."""
+def _grid_tables(net: MisoNetwork, grid: int = 24, axes=None) -> list:
+    """Per-user tables whose cross product is m_user_region's grid sweep
+    (same arguments); one all-zero row each when every power is zero."""
     if all(p == 0.0 for p in net.powers):
         # every beam is zero, so the whole region is the origin
-        yield _zf_block(net, nats)
-        return
-    if sampler == "random":
-        yield from _random_blocks(net, seed, count, nats)
-        return
-    if sampler != "grid":
-        raise ValueError(f"unknown sampler '{sampler}'")
+        return _zf_tables(net)
     if grid < 2 and axes is None:
         raise ValueError("grid must be at least 2")
     tables = []
@@ -286,7 +301,18 @@ def _region_blocks(net: MisoNetwork, grid: int = 24, sampler: str = "grid",
         else:
             psi_axes, omega_axes = default_axes(frame.mbar, grid, cplx)
         tables.append(_grid_table(frame, order, net.powers[i], psi_axes, omega_axes))
-    yield from _cross_blocks(net, tables, nats)
+    return tables
+
+
+def _region_blocks(net: MisoNetwork, grid: int = 24, sampler: str = "grid",
+                   seed: int = 0, count: int = 1_000_000, axes=None,
+                   nats: bool = False):
+    """Stream the blocks of m_user_region (same arguments, same row order)."""
+    if sampler not in ("grid", "random"):
+        raise ValueError(f"unknown sampler '{sampler}'")
+    if sampler == "random" and any(p != 0.0 for p in net.powers):
+        return _random_blocks(net, seed, count, nats)
+    return _cross_blocks(net, _grid_tables(net, grid, axes), nats)
 
 
 def m_user_region(net: MisoNetwork, grid: int = 24, sampler: str = "grid",
@@ -312,13 +338,12 @@ def three_user_region(net: MisoNetwork, grid: int = 24, sampler: str = "grid",
                              count=count, axes=axes, nats=nats)
 
 
-def _zf_block(net: MisoNetwork, nats: bool) -> _Block:
+def _zf_tables(net: MisoNetwork) -> list:
     tables = []
     for i in range(net.m):
         frame, order = _user_frame(net, i)
-        psi_axes = [np.zeros(1)] * frame.mbar
-        tables.append(_grid_table(frame, order, net.powers[i], psi_axes))
-    return next(_cross_blocks(net, tables, nats))
+        tables.append(_grid_table(frame, order, net.powers[i], [np.zeros(1)] * frame.mbar))
+    return tables
 
 
 def zf_point(net: MisoNetwork, nats: bool = False) -> RegionSample:
@@ -328,7 +353,7 @@ def zf_point(net: MisoNetwork, nats: bool = False) -> RegionSample:
     orthogonal to all cross channels.  A transmitter with no such component
     (reduced residual empty) simply gets rate zero.
     """
-    return next(_samples([_zf_block(net, nats)]))
+    return next(_samples(_cross_blocks(net, _zf_tables(net), nats)))
 
 
 def _invert_gamma_to_psi(gamma: np.ndarray) -> np.ndarray:
@@ -399,37 +424,44 @@ def _dominated(cand: np.ndarray, by: np.ndarray) -> np.ndarray:
     Domination means at least as large in every coordinate and larger in
     one; a NaN coordinate neither dominates nor is dominated.
     """
-    ge = np.all(by[:, None, :] >= cand[None, :, :], axis=2)
-    gt = np.any(by[:, None, :] > cand[None, :, :], axis=2)
+    ge = np.ones((len(by), len(cand)), dtype=bool)
+    gt = np.zeros((len(by), len(cand)), dtype=bool)
+    for k in range(cand.shape[1]):
+        a, b = by[:, k, None], cand[None, :, k]
+        ge &= a >= b
+        gt |= a > b
     return ge & gt
 
 
 def pareto_filter(points: np.ndarray) -> np.ndarray:
-    """Boolean mask of componentwise-maximal rows (original order).
+    """Boolean mask of the rows that no other row dominates (original order).
 
-    Rows are visited by descending coordinate sum (stable), and a row is
-    dropped when a row kept before it dominates it.  Since domination is
-    transitive, that is the same as being dominated by any earlier row: so
-    each block of candidates is checked against the rows kept from earlier
-    blocks and against the earlier rows of its own block, all at once.
+    Rows are visited in descending lexicographic order, where every row comes
+    after the rows that dominate it, and a row is dropped when a row kept
+    before it dominates it.  Since domination is transitive, that is the same
+    as being dominated by any row: so each block of candidates is checked
+    against the rows kept from earlier blocks, and the survivors against the
+    earlier survivors of their own block, all at once.  Equal rows are all
+    kept.
     """
     pts = np.asarray(points, dtype=float)
     n = pts.shape[0]
-    order = np.argsort(-pts.sum(axis=1), kind="stable")
+    order = np.lexsort(-pts.T[::-1]) if pts.shape[1] else np.arange(n)
     keep = np.zeros(n, dtype=bool)
     kept = pts[:0]
     for start in range(0, n, _PARETO_BLOCK):
         idx = order[start:start + _PARETO_BLOCK]
         cand = pts[idx]
-        drop = np.any(np.triu(_dominated(cand, cand), k=1), axis=0)
+        live = np.ones(len(idx), dtype=bool)
         step = max(1, _PARETO_CELLS // (len(idx) * max(pts.shape[1], 1)))
         for lo in range(0, kept.shape[0], step):
-            live = ~drop
+            live[live] = ~np.any(_dominated(cand[live], kept[lo:lo + step]), axis=0)
             if not np.any(live):
                 break
-            drop[live] = np.any(_dominated(cand[live], kept[lo:lo + step]), axis=0)
-        keep[idx[~drop]] = True
-        kept = np.concatenate([kept, cand[~drop]])
+        rest = cand[live]
+        live[live] = ~np.any(np.triu(_dominated(rest, rest), k=1), axis=0)
+        keep[idx[live]] = True
+        kept = np.concatenate([kept, cand[live]])
     return keep
 
 
@@ -457,10 +489,9 @@ def pareto_prune_samples(samples, chunk: int = 4096) -> list:
 
 
 def _pareto_blocks(blocks, chunk: int = 4096):
-    """Pareto-maximal rows of a block stream as one block (None if empty):
-    like pareto_prune_samples, it keeps a row iff no row before it by
-    descending sum, then stream order, dominates it, in stream order, so
-    block sizes and chunk cuts do not change the result."""
+    """Pareto-maximal rows of a block stream as one block (None if empty): like
+    pareto_prune_samples, it keeps the rows no row of the stream dominates, in
+    stream order, so block sizes and chunk cuts do not change the result."""
     pieces = (b[s:s + chunk] for b in blocks for s in range(0, len(b), chunk))
     return _pareto_archive(((p.rates, p) for p in pieces), _cat)
 

@@ -26,6 +26,7 @@ from miso_sud.region import (
 )
 from miso_sud.twouser import (
     TwoUserChannel,
+    _engine_tables,
     cross_angles,
     interference_limited_region,
     scalar_sud_sum_rate,
@@ -312,6 +313,19 @@ class TestErrorPaths:
     def test_unknown_suite(self, capsys):
         assert main(["verify", "--suite", "bogus"]) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["region3", "--config", "paper_sec4", "--grid", "1"],
+        ["regionm", "--config", "paper_sec4", "--grid", "1", "--pareto"],
+        ["hull", "--config", "paper_sec4", "--grid", "1"],
+        ["fdm", "--config", "fig3", "--grid", "1"],
+        ["region2", "--config", "fig3", "--grid", "1"],
+        ["ilregion", "--config", "fig3", "--q1", "-1", "--q2", "0.5"],
+    ])
+    def test_bad_sweep_arguments_print_usage(self, argv, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "usage:" in err and "Traceback" not in err
+
     def test_numerical_failure_exits_two(self, tmp_path, capsys):
         doc = {
             "channels": [
@@ -479,6 +493,19 @@ def _pareto(stream):
     return lambda *a, **k: pareto_prune_samples(stream(*a, **k))
 
 
+def _pruned_front(tables):
+    """The exact front of the stream over the dominance-pruned tables(net, grid),
+    which is what --pareto writes for a grid sweep."""
+    def stream(net, g, nats):
+        pruned = region._pruned_tables(tables(net, g))
+        return pareto_prune_samples(region._samples(region._cross_blocks(net, pruned, nats)))
+    return stream
+
+
+def _two_user_tables(net, g):
+    return _engine_tables(net, None, g, g)
+
+
 # command, config, extra flags, the public RegionSample stream it writes
 # (called with the network, the grid and --nats) and whether beams are written.
 # region2 at grid 100 (10,000 rows) and the random sampler at count 9,000
@@ -493,10 +520,9 @@ _CLI_CASES = {
                            lambda net, g, nats: interference_limited_region(
                                net, 0.25, 0.4, g, g, nats), True),
     "region2_pareto": ("region2", "fig5", ["--grid", "70", "--pareto"],
-                       _pareto(lambda net, g, nats: two_user_region(net, g, g, nats)), True),
+                       _pruned_front(_two_user_tables), True),
     "region3_pareto": ("region3", "paper_sec4", ["--grid", "5", "--pareto"],
-                       _pareto(lambda net, g, nats: three_user_region(net, grid=g, nats=nats)),
-                       False),
+                       _pruned_front(region._grid_tables), False),
     "region3_random_two_chunks": ("region3", "paper_sec4",
                                   ["--sampler", "random", "--count", "9000", "--seed", "3"],
                                   lambda net, g, nats: three_user_region(
@@ -510,12 +536,11 @@ _CLI_CASES = {
                                ["--grid", "3"],
                                lambda net, g, nats: m_user_region(net, grid=g), False),
     "regionm_pareto": ("regionm", "fig3", ["--grid", "40", "--pareto"],
-                       _pareto(lambda net, g, nats: m_user_region(net, grid=g)), False),
+                       _pruned_front(region._grid_tables), False),
     "region2_zero_cross": ("region2", _zero_cross_config, ["--grid", "9"],
                            lambda net, g, nats: two_user_region(net, g, g, nats), True),
     "region2_zero_cross_pareto": ("region2", _zero_cross_config, ["--grid", "9", "--pareto"],
-                                  _pareto(lambda net, g, nats: two_user_region(net, g, g, nats)),
-                                  True),
+                                  _pruned_front(_two_user_tables), True),
     "region3_zero_power": ("region3", _zero_power_config, ["--grid", "5"],
                            lambda net, g, nats: three_user_region(net, grid=g), False),
 }
@@ -523,7 +548,9 @@ _CLI_CASES = {
 
 class TestCliBytesMatchSampleStream:
     """The sweep commands write from blocks; their CSV must be byte for byte
-    what the reference per-sample writer makes of the public RegionSample stream."""
+    what the reference per-sample writer makes of the public RegionSample
+    stream, or under --pareto on a grid, of the exact front over the pruned
+    tables (tests/test_region.py checks that front against the full sweep's)."""
 
     @pytest.mark.parametrize("case", sorted(_CLI_CASES))
     def test_csv_bytes(self, case, tmp_path):

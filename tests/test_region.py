@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from miso_sud import region
+from miso_sud.cli import bundled_config, load_network
 from miso_sud.mreduce import SphericalParams
 from miso_sud.region import (
     MisoNetwork,
@@ -21,6 +22,7 @@ from miso_sud.region import (
 )
 from miso_sud.twouser import (
     TwoUserChannel,
+    _engine_tables,
     cross_angles,
     max_signal_given_interference,
     two_user_region,
@@ -320,20 +322,18 @@ class TestParetoHull:
 
 
 def _reference_pareto_filter(points):
-    """The per-point loop that pareto_filter replaced, kept as its reference."""
+    """Brute force: keep a row iff no row of the input dominates it (a NaN
+    coordinate compares false, so a NaN row neither dominates nor is dominated)."""
     pts = np.asarray(points, dtype=float)
-    n = pts.shape[0]
-    order = np.argsort(-pts.sum(axis=1), kind="stable")
-    keep = np.zeros(n, dtype=bool)
-    kept = []
-    for idx in order:
-        p = pts[idx]
-        if kept:
-            k = np.asarray(kept)
-            if np.any(np.all(k >= p, axis=1) & np.any(k > p, axis=1)):
-                continue
-        keep[idx] = True
-        kept.append(p)
+    keep = np.ones(len(pts), dtype=bool)
+    for s in range(0, len(pts), 256):
+        rows = pts[s:s + 256]
+        ge = np.ones((len(rows), len(pts)), dtype=bool)
+        gt = np.zeros((len(rows), len(pts)), dtype=bool)
+        for k in range(pts.shape[1]):
+            ge &= pts[:, k] >= rows[:, k, None]
+            gt |= pts[:, k] > rows[:, k, None]
+        keep[s:s + 256] = ~np.any(ge & gt, axis=1)
     return keep
 
 
@@ -421,7 +421,80 @@ class TestParetoFilterEquivalence:
         assert [id(s) for s in got] == [id(s) for s in want]
 
 
-@pytest.mark.xfail(strict=True, reason="rows are visited by their rounded sums, so when two "
-                   "sums round to the same float a dominated row can come first and is kept")
 def test_pareto_filter_drops_row_dominated_within_a_rounded_sum_tie():
     assert pareto_filter(np.array([[1.0, 1e-17], [1.0, 2e-17]])).tolist() == [False, True]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_pareto_filter_does_not_depend_on_row_order(d):
+    pts = _tie_heavy_points(1200, d, seed=40 + d)
+    perm = np.random.default_rng(d).permutation(len(pts))
+    assert np.array_equal(pareto_filter(pts[perm]), pareto_filter(pts)[perm])
+
+
+def _front_rows(net, tables):
+    """The exact front of the cross product of tables: its (angles, rates)
+    rows and the bytes of its rate vectors."""
+    front = region._pareto_blocks(region._cross_blocks(net, tables, False))
+    cols = [t.psi[ix] for t, ix in zip(front.tables, front.idx)]
+    cols += [t.omega[ix] for t, ix in zip(front.tables, front.idx)]
+    rows = {tuple(r) for r in np.hstack(cols + [front.rates]).tolist()}
+    return rows, {r.tobytes() for r in front.rates}
+
+
+def _check_pruned_front(net, tables):
+    # what --pareto writes against the exact front of the full sweep: the
+    # same distinct rate points bit for bit (so every full front row's rates
+    # appear), on rows that the full front holds too
+    full, full_points = _front_rows(net, tables)
+    pruned, pruned_points = _front_rows(net, region._pruned_tables(tables))
+    assert pruned_points == full_points
+    assert pruned <= full
+    return pruned, full
+
+
+def _drawn_network(seed, field="complex"):
+    """A 3-user network drawn as perfbench's workloads draw one: 2-5 antennas
+    per transmitter, Gaussian channels, powers uniform in [1, 10]."""
+    rng = np.random.default_rng(seed)
+    chans = []
+    for t in rng.integers(2, 6, size=3):
+        h = rng.standard_normal((int(t), 3))
+        if field == "complex":
+            h = (h + 1j * rng.standard_normal((int(t), 3))) / np.sqrt(2.0)
+        chans.append(h)
+    return MisoNetwork(channels=tuple(chans), powers=tuple(rng.uniform(1.0, 10.0, size=3)),
+                       field=field)
+
+
+class TestPrunedTablesKeepTheFront:
+    @pytest.mark.parametrize("field,grid", [("real", 6), ("real", 10), ("complex", 3)])
+    def test_paper_sec4(self, field, grid):
+        net = load_network(dict(bundled_config("paper_sec4"), field=field))
+        _check_pruned_front(net, region._grid_tables(net, grid))
+
+    @pytest.mark.parametrize("name", ["fig3", "fig4", "fig5"])
+    @pytest.mark.parametrize("caps", [None, (0.25, 0.4)])
+    def test_two_user_figures(self, name, caps):
+        # region2 sweeps without caps, ilregion with them
+        net = load_network(bundled_config(name))
+        _check_pruned_front(net, _engine_tables(net, caps, 10, 10))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_drawn_networks(self, seed):
+        net = _drawn_network(seed)
+        _check_pruned_front(net, region._grid_tables(net, 3))
+
+    @pytest.mark.parametrize("user", [0, 1, 2])
+    def test_zero_direct_channel_or_power(self, user):
+        # a receiver with no signal gains no rate from a smaller leak, so rows
+        # that differ only in their leak to it tie, and pruning drops some of them
+        net = _drawn_network(7, field="real")
+        chans = [np.array(h) for h in net.channels]
+        chans[user][:, user] = 0.0
+        powers = list(net.powers)
+        powers[user] = 0.0
+        for case in (MisoNetwork(tuple(chans), net.powers, "real"),
+                     MisoNetwork(net.channels, tuple(powers), "real")):
+            pruned, full = _check_pruned_front(case, region._grid_tables(case, 6))
+            assert pruned < full
