@@ -220,30 +220,39 @@ def powers_closed_form(norm0, norm1, norm2, theta01, theta12, theta02, p, psi1, 
     return signal, z1sq, z2sq
 
 
+def _frame_terms(frame: ReducedFrame):
+    """Angle-free terms of _signal_leaks: mbar, conj(h_low), ||h_hat||, conj cross columns."""
+    cross = np.stack([v.conj() for v in frame.hj_low], axis=1) if frame.hj_low else None
+    return frame.mbar, frame.h_low.conj(), float(np.linalg.norm(frame.h_hat)), cross
+
+
+def _signal_leaks(terms, p: float, psis, omegas=None):
+    """Reduced directions, own projections, slacks, signal and leaks at rows of
+    sweep angles, from the _frame_terms of one frame."""
+    mbar, own, hat_norm, cross = terms
+    n = psis.shape[0]
+    gam = gamma_from_angles(psis, omegas) if mbar else np.zeros((n, 0))
+    own_proj = gam @ own if mbar else np.zeros(n)
+    slack = np.sqrt(np.maximum(1.0 - np.sum(np.abs(gam) ** 2, axis=1), 0.0))
+    signal = p * (np.abs(own_proj) + hat_norm * slack) ** 2
+    zsq = p * np.abs(gam @ cross) ** 2 if cross is not None else np.zeros((n, 0))
+    return gam, own_proj, slack, signal, zsq
+
+
 def rank_one_rows(frame: ReducedFrame, p: float, psis, omegas=None):
     """Own signal, leaks and beams of one transmitter at rows of sweep angles.
 
     psis (and omegas, if given) are n x mbar arrays, one row per sample.
     Returns (gammas, signal, zsq, beams) as described in rank_one_table.
     """
-    n = psis.shape[0]
-    gam = gamma_from_angles(psis, omegas) if frame.mbar else np.zeros((n, 0))
-
-    own_proj = gam @ frame.h_low.conj() if frame.mbar else np.zeros(n)
-    hat_norm = float(np.linalg.norm(frame.h_hat))
-    slack = np.sqrt(np.maximum(1.0 - np.sum(np.abs(gam) ** 2, axis=1), 0.0))
-    signal = p * (np.abs(own_proj) + hat_norm * slack) ** 2
-    if frame.hj_low:
-        cross = np.stack([v.conj() for v in frame.hj_low], axis=1)
-        zsq = p * np.abs(gam @ cross) ** 2
-    else:
-        zsq = np.zeros((n, 0))
+    _, _, hat_norm, _ = terms = _frame_terms(frame)
+    gam, own_proj, slack, signal, zsq = _signal_leaks(terms, p, psis, omegas)
 
     # beamformer realizing the lift: reduced part sqrt(P)*gamma, residual part
     # phase-aligned with the own-signal contribution
     t = frame.dim
     cplx = np.iscomplexobj(gam) or np.iscomplexobj(frame.transform)
-    kappa = np.zeros((n, t), dtype=complex if cplx else float)
+    kappa = np.zeros((len(psis), t), dtype=complex if cplx else float)
     kappa[:, : frame.mbar] = np.sqrt(p) * gam
     if t > frame.mbar and hat_norm > 0.0:
         mag = np.abs(own_proj)
@@ -304,13 +313,17 @@ def rank_one_table(frame: ReducedFrame, p: float, psi_axes, omega_axes=None):
         if len(oaxes) != frame.mbar:
             raise ValueError("need one omega axis per reduced dimension")
         axes = axes + oaxes
-    if axes:
-        mesh = np.meshgrid(*axes, indexing="ij")
-        angles = np.stack([g.ravel() for g in mesh], axis=1)
-    else:
-        angles = np.zeros((1, 0))
+    angles = _angle_rows(axes)
     omegas = angles[:, n_psi:] if use_omega else None
     return (angles,) + rank_one_rows(frame, p, angles[:, :n_psi], omegas)
+
+
+def _angle_rows(axes) -> np.ndarray:
+    """Rows of the Cartesian product of float axes, the first axis slowest."""
+    if len(axes) <= 1:
+        return axes[0][:, None].copy() if axes else np.zeros((1, 0))
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([g.ravel() for g in mesh], axis=1)
 
 
 def best_rank_one_sweep(h_own, caps, p, grid: int = 0, rounds: int = 12,
@@ -326,7 +339,9 @@ def best_rank_one_sweep(h_own, caps, p, grid: int = 0, rounds: int = 12,
     power can sit on the rim |gamma| = 1, a fold of the angle chart that
     neither step can slide along; the rim is then also swept on its own, as
     the slice psi_mbar = pi/2 with mbar - 1 free angles, which adds three
-    seeds of its own.  Returns (value, angles, beam).
+    seeds of its own.  The search evaluates signal and leaks only, and the
+    SLSQP objective and caps share one evaluation per point; the beam is
+    built once, at the returned angles.  Returns (value, angles, beam).
     """
     # scipy is imported here, not at module level, so that the region
     # sweeps and the CLI run on numpy alone
@@ -335,6 +350,7 @@ def best_rank_one_sweep(h_own, caps, p, grid: int = 0, rounds: int = 12,
     vecs = [np.asarray(v) for v, _ in caps]
     bounds = np.array([float(b) for _, b in caps])
     frame = reduce_interference_frame(h_own, vecs)
+    terms = _frame_terms(frame)
     mbar = frame.mbar
     tol = 1e-9 * max(1.0, float(bounds.max()) if bounds.size else 1.0)
     n_axes = mbar * (2 if sweeps_phases(mbar, complex_phases) else 1)
@@ -354,17 +370,17 @@ def best_rank_one_sweep(h_own, caps, p, grid: int = 0, rounds: int = 12,
     if use_omega:
         disk[mbar] = False
 
-    def table(axes):
-        """Sweep rows at the given axes and the mask of rows within every cap."""
-        omega = axes[mbar:] if use_omega else None
-        angles, _, signal, zsq, beams = rank_one_table(frame, p, axes[:mbar], omega)
-        return angles, signal, zsq, beams, np.all(zsq <= bounds + tol, axis=1)
+    def table(angles):
+        """Rows of angles, their signal and leaks, and the mask of rows within every cap."""
+        omega = angles[:, mbar:] if use_omega else None
+        _, _, _, signal, zsq = _signal_leaks(terms, p, angles[:, :mbar], omega)
+        return angles, signal, zsq, np.all(zsq <= bounds + tol, axis=1)
 
     def top_candidates(free, count):
         """The best feasible grid rows of one chart, pairwise two cells apart."""
         pinned = [a if f else np.array([np.pi / 2 if i < mbar else 0.0])
                   for i, (a, f) in enumerate(zip(axes, free))]
-        angles, signal, _, beams, feas = table(pinned)
+        angles, signal, _, feas = table(_angle_rows(pinned))
         # psi_mbar enters gamma only through its sine: pi - psi_mbar is a
         # mirror image of psi_mbar, not another basin
         canon = angles.copy()
@@ -388,20 +404,23 @@ def best_rank_one_sweep(h_own, caps, p, grid: int = 0, rounds: int = 12,
                 chosen.append(j)
                 if len(chosen) == count:
                     break
-        return [(float(signal[j]), angles[j], beams[j], free) for j in chosen]
+        return [(float(signal[j]), angles[j], free) for j in chosen]
 
     def polish(seed):
-        free = seed[3]
+        val0, center, free = seed
         if not np.any(free):
             return seed
-        center = seed[1]
-        x0 = center[free]
+        memo = {}
 
         def table_at(x):
-            full = center.copy()
-            full[free] = x
-            _, sig, zs, beams, feas = table([np.array([v]) for v in full])
-            return float(sig[0]), zs[0], beams[0], bool(feas[0]), full
+            # SLSQP asks for the objective and the caps at the same points
+            key = x.tobytes()
+            if key not in memo:
+                full = center.copy()
+                full[free] = x
+                _, sig, zs, feas = table(full[None, :])
+                memo[key] = float(sig[0]), zs[0], bool(feas[0]), full
+            return memo[key]
 
         def local_step(start, margin):
             cons = []
@@ -412,17 +431,14 @@ def best_rank_one_sweep(h_own, caps, p, grid: int = 0, rounds: int = 12,
             x = np.asarray(res.x, dtype=float)
             return table_at(x) if np.all(np.isfinite(x)) else None
 
-        got = local_step(x0, 0.0)
-        if got is not None and not got[3]:
+        got = local_step(center[free], 0.0)
+        if got is not None and not got[2]:
             # the step can stop a rounding error outside a cap: rerun it from
             # there with the caps pulled in by twice that overshoot
-            got = local_step(got[4][free], 2.0 * np.maximum(got[1] - bounds, 0.0))
-        if got is None or not got[3]:
+            got = local_step(got[3][free], 2.0 * np.maximum(got[1] - bounds, 0.0))
+        if got is None or not got[2] or got[0] <= val0:
             return seed
-        val, _, beam, _, angles = got
-        if val <= seed[0]:
-            return seed
-        return val, angles, beam, free
+        return got[0], got[3], free
 
     seeds = top_candidates(disk, n_seeds)
     if not seeds:
@@ -434,7 +450,7 @@ def best_rank_one_sweep(h_own, caps, p, grid: int = 0, rounds: int = 12,
     best = None
     for seed in seeds:
         cur = seed
-        free = seed[3]
+        free = seed[2]
         width = widths.copy()
         shrinks = 0
         steps = 0
@@ -442,17 +458,19 @@ def best_rank_one_sweep(h_own, caps, p, grid: int = 0, rounds: int = 12,
             steps += 1
             zoom = [c + np.linspace(-w, w, zoom_pts) if f else np.atleast_1d(c)
                     for c, w, f in zip(cur[1], width, free)]
-            angles, signal, _, beams, feas = table(zoom)
+            angles, signal, _, feas = table(_angle_rows(zoom))
             moved = False
             if np.any(feas):
                 idx = int(np.flatnonzero(feas)[np.argmax(signal[feas])])
                 if signal[idx] > cur[0]:
                     moved = signal[idx] - cur[0] > 1e-6 * max(1.0, abs(cur[0]))
-                    cur = (float(signal[idx]), angles[idx], beams[idx], free)
+                    cur = (float(signal[idx]), angles[idx], free)
             if not moved:
                 width /= 3.0
                 shrinks += 1
         cur = polish(cur)
         if best is None or cur[0] > best[0]:
             best = cur
-    return best[:3]
+    value, angles = best[:2]
+    omega = angles[None, mbar:] if use_omega else None
+    return value, angles, rank_one_rows(frame, p, angles[None, :mbar], omega)[3][0]

@@ -433,6 +433,18 @@ def _dominated(cand: np.ndarray, by: np.ndarray) -> np.ndarray:
     return ge & gt
 
 
+def _undominated(cand: np.ndarray, by: np.ndarray) -> np.ndarray:
+    """Mask of the rows of cand that no row of by dominates, comparing slices
+    of by that hold at most _PARETO_CELLS booleans."""
+    live = np.ones(len(cand), dtype=bool)
+    step = max(1, _PARETO_CELLS // max(cand.size, 1))
+    for lo in range(0, len(by), step):
+        if not np.any(live):
+            break
+        live[live] = ~np.any(_dominated(cand[live], by[lo:lo + step]), axis=0)
+    return live
+
+
 def pareto_filter(points: np.ndarray) -> np.ndarray:
     """Boolean mask of the rows that no other row dominates (original order).
 
@@ -452,12 +464,7 @@ def pareto_filter(points: np.ndarray) -> np.ndarray:
     for start in range(0, n, _PARETO_BLOCK):
         idx = order[start:start + _PARETO_BLOCK]
         cand = pts[idx]
-        live = np.ones(len(idx), dtype=bool)
-        step = max(1, _PARETO_CELLS // (len(idx) * max(pts.shape[1], 1)))
-        for lo in range(0, kept.shape[0], step):
-            live[live] = ~np.any(_dominated(cand[live], kept[lo:lo + step]), axis=0)
-            if not np.any(live):
-                break
+        live = _undominated(cand, kept)
         rest = cand[live]
         live[live] = ~np.any(np.triu(_dominated(rest, rest), k=1), axis=0)
         keep[idx[live]] = True
@@ -467,13 +474,19 @@ def pareto_filter(points: np.ndarray) -> np.ndarray:
 
 def _pareto_archive(pieces, cat):
     """Pareto-maximal rows (None if none) of a stream of (points, rows) pieces,
-    each filtered after the rows kept so far; cat([kept, rows]) joins two."""
+    in stream order; cat([kept, rows]) joins two.  Each piece is filtered on
+    its own, and its survivors that the kept rows do not dominate join them
+    and drop the kept rows they dominate: by transitivity, no other row of
+    the piece can dominate a kept row."""
     arch_pts = arch = None
     for pts, rows in pieces:
-        if arch is not None:
-            pts, rows = np.vstack([arch_pts, pts]), cat([arch, rows])
         mask = pareto_filter(pts)
-        arch_pts, arch = pts[mask], rows[mask]
+        pts, rows = pts[mask], rows[mask]
+        if arch is not None:
+            live = _undominated(pts, arch_pts)
+            old = _undominated(arch_pts, pts[live])
+            pts, rows = np.vstack([arch_pts[old], pts[live]]), cat([arch[old], rows[live]])
+        arch_pts, arch = pts, rows
     return arch
 
 
@@ -521,16 +534,15 @@ def _hull_2d(points: np.ndarray) -> list:
 def pareto_hull(samples, mode: str = "pareto") -> list:
     """Post-process a sample stream into boundary rate points.
 
-    mode 'pareto' keeps componentwise-maximal points.  mode 'hull' returns
-    the extreme points of the convex hull of the points together with all
-    their coordinate projections down to the origin, so the hull describes
-    time-sharing including silent users; in three or more dimensions the
-    hull is replaced by Pareto filtering of that union.
+    mode 'pareto' keeps the distinct componentwise-maximal points, sorted.
+    mode 'hull' returns the extreme points of the convex hull of the points
+    together with all their coordinate projections down to the origin, so the
+    hull describes time-sharing including silent users; in three or more
+    dimensions the hull is replaced by Pareto filtering of that union.
     """
     pts = _as_points(samples)
     if mode == "pareto":
-        mask = pareto_filter(pts)
-        return [tuple(p) for p in pts[mask]]
+        return [tuple(p) for p in np.unique(pts[pareto_filter(pts)], axis=0)]
     if mode != "hull":
         raise ValueError("mode must be 'pareto' or 'hull'")
     d = pts.shape[1]

@@ -249,7 +249,12 @@ class TestRegionCommands:
         hp, rp = read_csv(pareto)
         hh, rh = read_csv(hull)
         assert hp == hh == ["R1", "R2"]
-        assert 0 < len(rh) <= len(rp) <= 49
+        # each distinct front point once; the hull's Pareto-maximal vertices
+        # are front points, its other vertices their projections to the axes
+        assert 0 < len({tuple(r) for r in rp}) == len(rp) <= 49
+        upper = np.array(rh)[region.pareto_filter(np.array(rh))]
+        front = np.round(np.array(rp), 12)
+        assert len(upper) and all(np.any(np.all(front == v, axis=1)) for v in upper)
 
     def test_fdm_rows(self, tmp_path, capsys):
         src = cfg_path(tmp_path, "fig3")

@@ -10,11 +10,13 @@ from miso_sud.mreduce import (
     best_rank_one_sweep,
     gamma_from_angles,
     powers_closed_form,
+    rank_one_rows,
     rank_one_table,
     reduce_interference_frame,
     lift_covariance,
     spherical_rank_one,
 )
+from miso_sud.mreduce import _frame_terms, _signal_leaks
 from miso_sud.oracle import ConstrainedMaxProblem, rank_one_search
 from miso_sud.twouser import max_signal_given_interference
 from tests.conftest import H1, random_vector
@@ -337,3 +339,123 @@ class TestSweepOnCertifyInputs:
         for v, b in caps:
             assert abs(np.vdot(v, beam)) ** 2 <= b + tol
         assert abs(np.vdot(h, beam)) ** 2 == pytest.approx(val, rel=1e-10)
+
+
+def _draw(rng, d, cplx):
+    v = rng.standard_normal(d)
+    if cplx:
+        v = (v + 1j * rng.standard_normal(d)) / np.sqrt(2.0)
+    return v
+
+
+def sweep_golden_inputs():
+    """(name, h, caps, p, complex_phases) inputs whose sweep results are pinned."""
+    cases = []
+    # two inputs per certify cell (d = 2-5; real with 1 or 2 caps, complex
+    # with 1), drawn as perfbench's certify workload draws seed 7
+    for index in range(32):
+        d = 2 + index % 4
+        cplx = (index // 4) % 2 == 1
+        n_caps = 1 if cplx else 1 + (index // 8) % 2
+        rng = np.random.default_rng([3, 7, index])
+        rng.uniform(size=8)
+        h = _draw(rng, d, cplx)
+        p = float(rng.uniform(0.5, 3.0))
+        caps = []
+        for _ in range(n_caps):
+            g = _draw(rng, d, cplx)
+            caps.append((g, float(rng.uniform(0.1, 0.9)) * p * float(np.linalg.norm(g)) ** 2))
+        cases.append((f"certify-{index}", h, caps, p, cplx))
+    rng = np.random.default_rng(2024)
+    # t = mbar = 3: the rim |gamma| = 1 is swept as well
+    h = _draw(rng, 3, False)
+    caps = [(g, 0.4 * float(np.linalg.norm(g)) ** 2) for g in (_draw(rng, 3, False) for _ in range(3))]
+    cases.append(("rim", h, caps, 1.5, False))
+    # complex, mbar = 2 < t = 3, with phases swept
+    h = _draw(rng, 3, True)
+    caps = [(g, 0.3 * float(np.linalg.norm(g)) ** 2) for g in (_draw(rng, 3, True) for _ in range(2))]
+    cases.append(("phases", h, caps, 2.0, True))
+    cases.append(("no-cap", _draw(rng, 4, True), [], 1.2, True))
+    return cases
+
+
+# float.hex of (value, angles) of best_rank_one_sweep on sweep_golden_inputs,
+# with one BLAS thread: any change to the search path (angles visited, their
+# order, the arithmetic of a visit) shows here
+SWEEP_GOLDEN = [
+('certify-0', '0x1.8d9f05eddc36cp-2', ('0x1.0c91ed487873ep+1',)),
+    ('certify-1', '0x1.98411c949b028p+0', ('0x1.f5bc23a234e71p-2',)),
+    ('certify-2', '0x1.d1988cf40e50ap+3', ('0x1.8a562a076bcddp+1',)),
+    ('certify-3', '0x1.36c9c26759a09p+4', ('0x1.967c7464a147cp-2',)),
+    ('certify-4', '0x1.d6792e7492e4ep-1', ('0x1.4dbbd7c3c7697p+1',)),
+    ('certify-5', '0x1.261223a83ed46p+1', ('0x1.f5e392e2c1f18p-2',)),
+    ('certify-6', '0x1.7b70d30957907p+4', ('0x1.3308687ef313cp+1',)),
+    ('certify-7', '0x1.9baf887af1901p+2', ('0x1.8583b1aea1784p+1',)),
+    ('certify-8', '0x1.1e71c35eeb9c5p-4', ('0x1.79f58417f97dep+1', '0x1.921fb54442d18p+0')),
+    ('certify-9', '0x1.415241f7221f2p+1', ('0x1.b9263e46ea20bp-2', '0x1.2941d6280937fp+1')),
+    ('certify-10', '0x1.85aa89f043d57p+3', ('0x1.9efebabe1e131p-2', '0x1.2f8e3958225b8p-2')),
+    ('certify-11', '0x1.732b95b8fe1d6p+4', ('-0x1.9a25218ad23a8p-5', '0x1.a10ac4befd100p-4')),
+    ('certify-12', '0x1.1fbc301577891p-1', ('0x1.46e9d5284c9adp+1',)),
+    ('certify-13', '0x1.3c959f534de9ep+3', ('0x1.5e5da1f0aa4d8p+1',)),
+    ('certify-14', '0x1.18aae676b67ecp+3', ('0x1.79fc046c0a58fp-3',)),
+    ('certify-15', '0x1.0cac4cea999abp+3', ('0x1.5b5774f8f69ccp+1',)),
+    ('certify-16', '0x1.86b0f0b60a022p-1', ('0x1.411e7433d0291p+1',)),
+    ('certify-17', '0x1.1d66b6e2a2ac8p+1', ('0x1.a11958d44913bp-2',)),
+    ('certify-18', '0x1.3f979cacbd1e5p+3', ('0x1.12c81c59d2ae0p-1',)),
+    ('certify-19', '0x1.6403bc913285ep+0', ('0x1.73e6f97e60f44p+1',)),
+    ('certify-20', '0x1.5a906ee870276p+1', ('0x1.720dd83a64d08p-2',)),
+    ('certify-21', '0x1.e1035b0fe9303p+0', ('0x1.75d0c6819dc4cp-1',)),
+    ('certify-22', '0x1.c52661c2e9058p+1', ('0x1.305651b142abcp+1',)),
+    ('certify-23', '0x1.3e2122ae40628p+3', ('0x1.55bf596dbed5ap-2',)),
+    ('certify-24', '0x1.4bf2a912142bap+2', ('0x1.4bfce66190ae5p-1', '0x1.5439961f1f9b7p-1')),
+    ('certify-25', '0x1.849db8ab8aa38p+1', ('0x1.7e30d1466690ep-1', '0x1.7596d3df9c452p+0')),
+    ('certify-26', '0x1.46e08c65882abp+3', ('0x1.10549a82c7742p-1', '0x1.12b43556f99fbp-1')),
+    ('certify-27', '0x1.4682b7aa57c91p+2', ('0x1.ae423a868de51p-5', '0x1.785ad1078e560p-1')),
+    ('certify-28', '0x1.c78c6104219c6p+0', ('0x1.13da022014790p+1',)),
+    ('certify-29', '0x1.0818dd142b283p+2', ('0x1.21499172c573bp+1',)),
+    ('certify-30', '0x1.36b1d810a36cep+3', ('0x1.1f53e227ac2ffp+1',)),
+    ('certify-31', '0x1.750705bb168a1p+2', ('0x1.5e82190e437b4p+1',)),
+    ('rim', '0x1.06b246ed23ac5p+2', ('0x1.4caa828d6a1afp+1', '0x1.5e87e2fbc4fbap+1', '0x1.921fb54442d18p+0')),
+    ('phases', '0x1.6f55a6d8c6c19p+2', ('-0x1.13332179a27b1p-2', '0x1.483d546531826p+1', '0x0.0p+0', '0x1.d94317090541fp-3')),
+    ('no-cap', '0x1.c835d77a7b1b3p+1', ()),
+]
+
+
+class TestSweepSearchPath:
+    @pytest.mark.parametrize("case,golden", zip(sweep_golden_inputs(), SWEEP_GOLDEN),
+                             ids=[g[0] for g in SWEEP_GOLDEN])
+    def test_value_and_angles_are_pinned(self, case, golden):
+        name, h, caps, p, cplx = case
+        assert name == golden[0]
+        val, angles, _ = best_rank_one_sweep(h, caps, p, complex_phases=cplx)
+        assert float(val).hex() == golden[1]
+        assert tuple(float(a).hex() for a in angles) == golden[2]
+
+    @pytest.mark.parametrize("case", sweep_golden_inputs(), ids=lambda c: c[0])
+    def test_beam_realizes_the_value(self, case):
+        _, h, caps, p, cplx = case
+        val, _, beam = best_rank_one_sweep(h, caps, p, complex_phases=cplx)
+        assert abs(np.vdot(h, beam)) ** 2 == pytest.approx(val, rel=1e-12)
+        tol = 1e-9 * max([1.0] + [b for _, b in caps])
+        for v, b in caps:
+            assert abs(np.vdot(v, beam)) ** 2 <= b + tol
+        assert np.linalg.norm(beam) ** 2 <= p * (1.0 + 1e-12)
+
+
+class TestSignalLeaks:
+    @pytest.mark.parametrize("cplx", [False, True])
+    @pytest.mark.parametrize("mbar", [0, 1, 2, 3])
+    def test_matches_rank_one_rows_bit_for_bit(self, mbar, cplx):
+        rng = np.random.default_rng(40 + 2 * mbar + cplx)
+        for t in (mbar, mbar + 2):
+            if t == 0:
+                continue
+            own = random_vector(rng, t, cplx)
+            frame = reduce_interference_frame(own, [random_vector(rng, t, cplx) for _ in range(mbar)])
+            assert frame.mbar == mbar
+            psis = rng.uniform(0.0, np.pi, size=(7, mbar))
+            for omegas in (None, rng.uniform(0.0, 2 * np.pi, size=(7, mbar))):
+                _, signal, zsq, _ = rank_one_rows(frame, 1.7, psis, omegas)
+                got = _signal_leaks(_frame_terms(frame), 1.7, psis, omegas)
+                assert np.array_equal(got[3], signal)
+                assert np.array_equal(got[4], zsq)

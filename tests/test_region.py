@@ -421,6 +421,32 @@ class TestParetoFilterEquivalence:
         assert [id(s) for s in got] == [id(s) for s in want]
 
 
+def _whole_archive_filter(pieces):
+    """Archive merge by filtering the whole kept archive again together with
+    each new piece, the slow reference for region._pareto_archive."""
+    arch_pts = arch = None
+    for pts, rows in pieces:
+        if arch is not None:
+            pts, rows = np.vstack([arch_pts, pts]), np.concatenate([arch, rows])
+        mask = pareto_filter(pts)
+        arch_pts, arch = pts[mask], rows[mask]
+    return arch
+
+
+@pytest.mark.parametrize("cells", [None, 2000])
+@pytest.mark.parametrize("chunk", [150, 700])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_archive_merge_matches_whole_archive_filter(d, chunk, cells, monkeypatch):
+    # tie-heavy streams of 5 to 20 chunks: the same rows kept, in the same order
+    if cells:
+        monkeypatch.setattr(region, "_PARETO_CELLS", cells)
+    pts = _tie_heavy_points(3000, d, seed=70 + d)
+    pieces = [(pts[s:s + chunk], np.arange(s, min(s + chunk, len(pts))))
+              for s in range(0, len(pts), chunk)]
+    got = region._pareto_archive(iter(pieces), np.concatenate)
+    assert got.tolist() == _whole_archive_filter(pieces).tolist()
+
+
 def test_pareto_filter_drops_row_dominated_within_a_rounded_sum_tie():
     assert pareto_filter(np.array([[1.0, 1e-17], [1.0, 2e-17]])).tolist() == [False, True]
 
