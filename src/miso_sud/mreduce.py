@@ -326,6 +326,27 @@ def _angle_rows(axes) -> np.ndarray:
     return np.stack([g.ravel() for g in mesh], axis=1)
 
 
+def _box_pattern(n: int, count: int) -> np.ndarray:
+    """Index rows of the Cartesian product of count axes of n points, the first
+    axis slowest: one row of shape (0,) when count is 0."""
+    return np.indices((n,) * count).reshape(count, n ** count).T
+
+
+def _zoom_rows(center, width, n: int, cols, pattern) -> np.ndarray:
+    """Rows of the box center + linspace(-width, width, n) on the axes cols,
+    the other axes at center, in the order of pattern = _box_pattern(n, len(cols)).
+
+    The rows are bit for bit those of _angle_rows on those linspace axes:
+    the offsets of every axis are computed at once in linspace's own
+    arithmetic (n >= 2).
+    """
+    offsets = np.arange(n, dtype=float)[:, None] * ((width - -width) / (n - 1)) + -width
+    offsets[-1] = width
+    rows = np.repeat(center[None, :], len(pattern), axis=0)
+    rows[:, cols] = center[cols] + offsets[pattern, cols]
+    return rows
+
+
 def best_rank_one_sweep(h_own, caps, p, grid: int = 0, rounds: int = 12,
                         complex_phases: bool = False):
     """Best rank-one own-signal power under upper interference caps, by sweep.
@@ -451,14 +472,14 @@ def best_rank_one_sweep(h_own, caps, p, grid: int = 0, rounds: int = 12,
     for seed in seeds:
         cur = seed
         free = seed[2]
+        cols = np.flatnonzero(free)
+        pattern = _box_pattern(zoom_pts, cols.size)
         width = widths.copy()
         shrinks = 0
         steps = 0
         while shrinks < rounds and steps < 5 * rounds:
             steps += 1
-            zoom = [c + np.linspace(-w, w, zoom_pts) if f else np.atleast_1d(c)
-                    for c, w, f in zip(cur[1], width, free)]
-            angles, signal, _, feas = table(_angle_rows(zoom))
+            angles, signal, _, feas = table(_zoom_rows(cur[1], width, zoom_pts, cols, pattern))
             moved = False
             if np.any(feas):
                 idx = int(np.flatnonzero(feas)[np.argmax(signal[feas])])

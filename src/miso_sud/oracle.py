@@ -109,10 +109,27 @@ def _check_equality_reach(vec: np.ndarray, bound: float, p: float) -> float:
     return top
 
 
+def _null_basis(rows: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning the x with rows @ x = 0."""
+    _, sv, vh = np.linalg.svd(rows, full_matrices=True)
+    rank = int(np.sum(sv > 1e-12 * (sv[0] if sv.size else 1.0)))
+    return vh[rank:].conj().T
+
+
 # a bracket search doubles its step at most this often, to 2**40 times the
 # multiplier's natural size h'h / v'v, before it takes the dual to fall
 # without a minimum along that multiplier (infeasible equality caps)
 _MAX_DOUBLINGS = 40
+
+
+def _dual_eigh(prob: ConstrainedMaxProblem, lam):
+    """Eigenvalues (ascending) and eigenvectors of A = hh' - sum_j lam_j v_j v_j',
+    and p uu' on its top eigenvector u."""
+    cols = np.stack([prob.target] + [v for v, _, _ in prob.caps], axis=1)
+    # eigh reads one triangle, so the product's rounding asymmetry is harmless
+    mu, q = np.linalg.eigh((cols * np.concatenate([[1.0], -lam])) @ cols.conj().T)
+    u = q[:, -1:]
+    return mu, q, (u * prob.p) @ u.conj().T
 
 
 def _face_covariance(prob: ConstrainedMaxProblem, lam, held):
@@ -124,21 +141,21 @@ def _face_covariance(prob: ConstrainedMaxProblem, lam, held):
     when lam_j >= 0 on upper caps (equality caps take either sign).  S
     attains it on the top eigenspace of A with trace p if top(A) > 0 and
     each held cap with lam_j != 0 met exactly (complementary slackness).
-    S = U W U' is fitted on the top r eigenvectors, r = 1, 2, ..., until
-    the least-norm W meeting those linear conditions, a combination of
-    their own matrices, meets them exactly and is PSD.
+    With no held cap active that face is closed form: p uu' on the top
+    eigenvector u, or 0 when top(A) <= 0.  Otherwise S = U W U' is fitted
+    on the top r eigenvectors, r = 1, 2, ..., until the least-norm W
+    meeting those linear conditions, a combination of their own matrices,
+    meets them exactly and is PSD.
     """
     h = prob.target
-    cols = np.stack([h] + [v for v, _, _ in prob.caps], axis=1)
-    # eigh reads one triangle, so the product's rounding asymmetry is harmless
-    mu, q = np.linalg.eigh((cols * np.concatenate([[1.0], -lam])) @ cols.conj().T)
+    mu, q, face = _dual_eigh(prob, lam)
     top = float(mu[-1])
     bound = prob.p * max(top, 0.0) + sum(m * b for m, (_, b, _) in zip(lam, prob.caps))
     rows = [j for j in held if prob.caps[j][2] == "equality" or lam[j] > 0.0]
-    if not rows and top <= 0.0:
-        return np.zeros((prob.dim, prob.dim), dtype=q.dtype), bound
+    if not rows:
+        return (face if top > 0.0 else np.zeros_like(face)), bound
     # a top eigenvalue within rounding of 0 leaves the trace free below p
-    for traced in [True] if top > 1e-9 * float(np.vdot(h, h).real) or not rows else [False, True]:
+    for traced in [True] if top > 1e-9 * float(np.vdot(h, h).real) else [False, True]:
         rhs = np.array([prob.p] * traced + [prob.caps[j][1] for j in rows])
         for r in range(1, prob.dim + 1):
             u = q[:, -r:]
@@ -164,6 +181,19 @@ def _minimize_dual(prob: ConstrainedMaxProblem, order, max_iter: int):
     so b_j - v_j'Sv_j at any covariance S optimal one level down is a slope
     of it, which changes sign once, at the minimizer: a doubling step
     brackets the change and Brent's method closes it in max_iter steps.
+
+    Trace-switch rule.  At the innermost level of an upper cap the face
+    below is p uu' on the top eigenvector u of A(t) while top(A(t)) > 0,
+    and 0 once it falls below, so the slope jumps from b_j - p|v_j'u|^2 to
+    b_j at the trace switch t0, the root of top(A(t)).  Brent's method
+    would bisect that jump.  So when the bracket straddles t0 (top(A) > 0
+    at its left end, < 0 at its right end), t0 is found first: top(A(t))
+    is convex and decreasing with slope -|v_j'u|^2, so Newton steps from
+    the left end stay left of t0 and converge to it.  A negative slope left
+    of t0 makes the kink t0 the minimizer; otherwise the slope's own root
+    lies left of t0 and Brent's method closes it there.  Equality caps and
+    outer levels keep the plain search.  Each probe of a level is computed
+    once, and the count is of eigendecompositions, top(A) probes included.
     """
     lam = np.zeros(len(prob.caps))
     evals = 0
@@ -174,11 +204,44 @@ def _minimize_dual(prob: ConstrainedMaxProblem, order, max_iter: int):
         if level < len(order):
             j = order[level]
             vec, bound, kind = prob.caps[j]
+            innermost = level == len(order) - 1
+            seen = {}
+
+            def probe(t):
+                """v_j'Sv_j at lam_j = t with the levels below at their optima
+                (innermost: S = p uu', whatever the sign of top(A)), and
+                top(A) there on the innermost level; lam is left at that point."""
+                nonlocal evals
+                if t not in seen:
+                    lam[j] = t
+                    if innermost:
+                        evals += 1
+                        mu, _, s = _dual_eigh(prob, lam)
+                        top = float(mu[-1])
+                    else:
+                        s, top = solve(level + 1), None
+                    seen[t] = float(np.real(vec.conj() @ s @ vec)), top, lam.copy()
+                leak, top, state = seen[t]
+                lam[:] = state
+                return leak, top
 
             def slope(t):
-                lam[j] = t
-                s = solve(level + 1)
-                return bound - float(np.real(vec.conj() @ s @ vec))
+                leak, top = probe(t)
+                # past the trace switch the innermost face is 0
+                return bound - (0.0 if innermost and top <= 0.0 else leak)
+
+            def trace_switch(t, stop, step):
+                """The root of top(A(t)) between t and stop, by Newton steps."""
+                leak, top = probe(t)
+                for _ in range(max_iter):
+                    nxt = min(t + prob.p * top / max(leak, 1e-300), stop)
+                    if not nxt - t > 1e-15 * step:
+                        break
+                    t = nxt
+                    leak, top = probe(t)
+                    if top <= 0.0:
+                        break
+                return t
 
             first = slope(0.0)
             if first < 0.0 or (first > 0.0 and kind == "equality"):
@@ -187,7 +250,13 @@ def _minimize_dual(prob: ConstrainedMaxProblem, order, max_iter: int):
                 for _ in range(_MAX_DOUBLINGS):
                     hi = sign * step
                     if slope(hi) * sign >= 0.0:
-                        slope(brentq(slope, min(lo, hi), max(lo, hi), xtol=1e-15 * step,
+                        a, b = min(lo, hi), max(lo, hi)
+                        if innermost and kind == "upper" and probe(a)[1] > 0.0 > probe(b)[1]:
+                            b = trace_switch(a, b, step)
+                            if bound - probe(b)[0] < 0.0:
+                                # negative left of the switch, b_j > 0 right of it
+                                break
+                        slope(brentq(slope, a, b, xtol=1e-15 * step,
                                      maxiter=max_iter, disp=False))
                         break
                     lo, step = hi, 2.0 * step
@@ -214,12 +283,35 @@ def general_rank_solve(prob: ConstrainedMaxProblem, tol: float = 1e-7,
     (one per cap, then the trace, then the PSD slack) within
     tol * max(1, p).  While the certificate stays open the search reruns
     with the caps nested in another order drawn with ``seed``, up to
-    ``restarts`` orders, and the report with the smallest gap is returned.
+    ``restarts`` orders; the first certified report is returned, or else
+    the one with the smallest gap.
     An equality cap at its reach p||v||^2 admits only p vv'/||v||^2, which
     is returned as is (the dual tends to its value as that multiplier goes
-    to -inf).  A negative bound proves the caps jointly infeasible.
+    to -inf).  A cap of bound 0 forces Sv = 0, so the problem is solved on
+    the orthogonal complement of those cap vectors and S lifted back: the
+    dual there bounds every feasible S of the original, whose own dual has
+    no minimizer along those multipliers and tends to it as they grow, so
+    they are reported as inf.  A negative bound proves the caps jointly
+    infeasible.
     """
     h = prob.target
+    zero = [j for j, (_, bound, _) in enumerate(prob.caps) if bound == 0.0]
+    if zero:
+        basis = _null_basis(np.stack([prob.caps[j][0].conj() for j in zero]))
+        kept = [j for j in range(len(prob.caps)) if j not in zero]
+        lam = np.full(len(prob.caps), np.inf)
+        s, bound, evals = np.zeros((prob.dim, prob.dim), dtype=basis.dtype), 0.0, 0
+        if basis.shape[1]:
+            coords = basis.conj().T
+            sub = general_rank_solve(ConstrainedMaxProblem(
+                target=coords @ h, p=prob.p,
+                caps=tuple((coords @ prob.caps[j][0], prob.caps[j][1], prob.caps[j][2])
+                           for j in kept)), tol, max_iter, restarts, seed)
+            s = basis @ sub.s @ coords
+            bound, evals = sub.certificate["dual_value"], sub.iterations
+            lam[kept] = sub.certificate["lambdas"]
+        return replace(_report(prob, s, bound, lam, tol), iterations=evals)
+
     res_tol = tol * max(1.0, prob.p)
     for j, (vec, bound, kind) in enumerate(prob.caps):
         if kind != "equality":
@@ -250,18 +342,26 @@ def general_rank_solve(prob: ConstrainedMaxProblem, tol: float = 1e-7,
         if bound < -tol * prob.p * max(float(np.linalg.norm(h)) ** 2, 1.0):
             # h'Sh >= 0 for every feasible S, so a negative bound proves infeasibility
             raise FeasibilityError("caps are not jointly satisfiable within the trace budget")
-        s = hermitize(s, tol=1e-6)
-        value = float(np.real(h.conj() @ s @ h))
-        residuals = _cap_residuals(prob, s)
-        gap = bound - value
-        certified = bool(gap <= tol * max(1.0, abs(bound)) and residuals.max() <= res_tol)
-        if best is None or gap < best.certificate["gap"]:
-            best = OracleReport(value=value, s=s, residuals=residuals, iterations=0,
-                                certified=certified,
-                                certificate={"dual_value": bound, "lambdas": lam, "gap": gap})
-        if certified:
+        report = _report(prob, s, bound, lam, tol)
+        if best is None or report.certified or report.certificate["gap"] < best.certificate["gap"]:
+            best = report
+        if report.certified:
             break
     return replace(best, iterations=evals)
+
+
+def _report(prob: ConstrainedMaxProblem, s, bound, lam, tol: float) -> OracleReport:
+    """The report of covariance s against the dual bound at lam (iterations 0)."""
+    h = prob.target
+    s = hermitize(s, tol=1e-6)
+    value = float(np.real(h.conj() @ s @ h))
+    residuals = _cap_residuals(prob, s)
+    gap = bound - value
+    certified = bool(gap <= tol * max(1.0, abs(bound))
+                     and residuals.max() <= tol * max(1.0, prob.p))
+    return OracleReport(value=value, s=s, residuals=residuals, iterations=0,
+                        certified=certified,
+                        certificate={"dual_value": bound, "lambdas": lam, "gap": gap})
 
 
 class _PhaseSlices:
@@ -276,9 +376,7 @@ class _PhaseSlices:
         self.tol = tol
         self.pinv = np.linalg.pinv(cmat)
         self.cmat = cmat
-        _, sv, vh = np.linalg.svd(cmat, full_matrices=True)
-        rank = int(np.sum(sv > 1e-12 * (sv[0] if sv.size else 1.0)))
-        self.nbasis = vh[rank:].conj().T
+        self.nbasis = _null_basis(cmat)
         hn = self.nbasis.conj().T @ h
         self.hn_norm = float(np.linalg.norm(hn))
         self.null_dir = (self.nbasis @ hn) / self.hn_norm if self.hn_norm > 0 else None

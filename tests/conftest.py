@@ -96,6 +96,25 @@ def random_vector(rng, dim, cplx):
     return v
 
 
+def certify_input(seed, index, d, cplx, n_caps):
+    """(h, caps, p) of perfbench's certify_op(seed, index, d, cplx, n_caps),
+    drawn with the same generator calls; caps are (vector, bound) upper caps."""
+    rng = np.random.default_rng([3, seed, index])
+    rng.uniform(size=8)
+
+    def draw():
+        v = rng.standard_normal(d)
+        return (v + 1j * rng.standard_normal(d)) / np.sqrt(2.0) if cplx else v
+
+    h = draw()
+    p = float(rng.uniform(0.5, 3.0))
+    caps = []
+    for _ in range(n_caps):
+        g = draw()
+        caps.append((g, float(rng.uniform(0.1, 0.9)) * p * float(np.linalg.norm(g)) ** 2))
+    return h, caps, p
+
+
 def random_pair_channel(rng, dim=None, cplx=None):
     if dim is None:
         dim = int(rng.integers(2, 6))

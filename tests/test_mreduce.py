@@ -16,10 +16,10 @@ from miso_sud.mreduce import (
     lift_covariance,
     spherical_rank_one,
 )
-from miso_sud.mreduce import _frame_terms, _signal_leaks
+from miso_sud.mreduce import _angle_rows, _box_pattern, _frame_terms, _signal_leaks, _zoom_rows
 from miso_sud.oracle import ConstrainedMaxProblem, rank_one_search
 from miso_sud.twouser import max_signal_given_interference
-from tests.conftest import H1, random_vector
+from tests.conftest import H1, certify_input, random_vector
 
 
 def maxabs(a):
@@ -306,26 +306,13 @@ class TestSweepOnCertifyInputs:
     local maxima at cap-cap vertices and on the rim |gamma| = 1; (2, 1768)
     needs a vertex inside the disk, (11, 2201) has d = 3."""
 
-    @staticmethod
-    def certify_input(seed, index):
-        # drawn as perfbench's certify workload draws (seed, index)
-        rng = np.random.default_rng([3, seed, index])
-        rng.uniform(size=8)
-        d = 2 + index % 4
-        h = rng.standard_normal(d)
-        p = float(rng.uniform(0.5, 3.0))
-        caps = []
-        for _ in range(2):
-            g = rng.standard_normal(d)
-            caps.append((g, float(rng.uniform(0.1, 0.9)) * p * float(np.linalg.norm(g)) ** 2))
-        return h, caps, p
-
     @pytest.mark.parametrize("seed,index", [
         (20, 56), (11, 504), (11, 632), (12, 712), (14, 584), (15, 1272),
         (2, 1768), (11, 2201),
     ])
     def test_reaches_the_rank_one_optimum(self, seed, index):
-        h, caps, p = self.certify_input(seed, index)
+        # drawn as perfbench's certify workload draws (seed, index)
+        h, caps, p = certify_input(seed, index, 2 + index % 4, False, 2)
         val, _, beam = best_rank_one_sweep(h, caps, p)
         prob = ConstrainedMaxProblem(
             target=h, caps=tuple((v, b, "upper") for v, b in caps), p=p)
@@ -354,17 +341,9 @@ def sweep_golden_inputs():
     # two inputs per certify cell (d = 2-5; real with 1 or 2 caps, complex
     # with 1), drawn as perfbench's certify workload draws seed 7
     for index in range(32):
-        d = 2 + index % 4
         cplx = (index // 4) % 2 == 1
         n_caps = 1 if cplx else 1 + (index // 8) % 2
-        rng = np.random.default_rng([3, 7, index])
-        rng.uniform(size=8)
-        h = _draw(rng, d, cplx)
-        p = float(rng.uniform(0.5, 3.0))
-        caps = []
-        for _ in range(n_caps):
-            g = _draw(rng, d, cplx)
-            caps.append((g, float(rng.uniform(0.1, 0.9)) * p * float(np.linalg.norm(g)) ** 2))
+        h, caps, p = certify_input(7, index, 2 + index % 4, cplx, n_caps)
         cases.append((f"certify-{index}", h, caps, p, cplx))
     rng = np.random.default_rng(2024)
     # t = mbar = 3: the rim |gamma| = 1 is swept as well
@@ -459,3 +438,20 @@ class TestSignalLeaks:
                 got = _signal_leaks(_frame_terms(frame), 1.7, psis, omegas)
                 assert np.array_equal(got[3], signal)
                 assert np.array_equal(got[4], zsq)
+
+
+class TestZoomRows:
+    @pytest.mark.parametrize("n", [3, 5, 6, 7, 9])
+    def test_matches_linspace_axes_bit_for_bit(self, n):
+        rng = np.random.default_rng(70 + n)
+        for k in range(6):
+            for _ in range(4):
+                center = rng.uniform(-4.0, 4.0, size=k)
+                width = rng.uniform(1e-7, 1.0, size=k) * 10.0 ** rng.integers(-3, 2, size=k)
+                free = rng.integers(0, 2, size=k).astype(bool)
+                cols = np.flatnonzero(free)
+                got = _zoom_rows(center, width, n, cols, _box_pattern(n, cols.size))
+                want = _angle_rows([c + np.linspace(-w, w, n) if f else np.atleast_1d(c)
+                                    for c, w, f in zip(center, width, free)])
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
