@@ -169,6 +169,18 @@ def gamma_from_angles(psis: np.ndarray, omegas=None) -> np.ndarray:
     return gam
 
 
+def _angles_of_gamma(gam) -> np.ndarray:
+    """Rows of psi whose gamma_from_angles rows are the real rows of gam (n x mbar,
+    norms <= 1): the running cosine product stays non-negative, signs land on the sines."""
+    psi, lead = np.zeros_like(gam), np.ones(len(gam))
+    for k in range(gam.shape[1]):
+        live = lead > 1e-12
+        s = np.where(live, np.clip(gam[:, k] / np.where(live, lead, 1.0), -1.0, 1.0), 0.0)
+        psi[:, k] = np.arcsin(s)
+        lead = lead * np.sqrt(np.maximum(1.0 - s * s, 0.0))
+    return psi
+
+
 def spherical_rank_one(p: float, params: SphericalParams):
     """Rank-one reduced covariance S11 = P * gamma gamma^H from sweep angles."""
     if p < 0:
@@ -347,6 +359,21 @@ def _zoom_rows(center, width, n: int, cols, pattern) -> np.ndarray:
     return rows
 
 
+def _forward_differences(fun, x) -> np.ndarray:
+    """SciPy's 2-point Jacobian of fun at x for SLSQP without jac, bit for bit: step sqrt(eps),
+    or sqrt(eps) sign(x_i) max(1, |x_i|) where x_i + sqrt(eps) == x_i; over (x_i + h_i) - x_i."""
+    root_eps = np.sqrt(np.finfo(float).eps)
+    sign = (x >= 0).astype(float) * 2 - 1
+    h = np.where((x + root_eps) - x == 0, root_eps * sign * np.maximum(1.0, np.abs(x)), root_eps)
+    f0 = np.atleast_1d(fun(x))
+    df = np.empty((x.size, f0.size))
+    for i in range(x.size):
+        x1 = x.copy()
+        x1[i] += h[i]
+        df[i] = fun(x1) - f0
+    return (df / ((x + h) - x)[:, None]).T
+
+
 def best_rank_one_sweep(h_own, caps, p, grid: int = 0, rounds: int = 12,
                         complex_phases: bool = False):
     """Best rank-one own-signal power under upper interference caps, by sweep.
@@ -360,8 +387,10 @@ def best_rank_one_sweep(h_own, caps, p, grid: int = 0, rounds: int = 12,
     power can sit on the rim |gamma| = 1, a fold of the angle chart that
     neither step can slide along; the rim is then also swept on its own, as
     the slice psi_mbar = pi/2 with mbar - 1 free angles, which adds three
-    seeds of its own.  The search evaluates signal and leaks only, and the
-    SLSQP objective and caps share one evaluation per point; the beam is
+    seeds of its own, and on a real frame the caps' vertices in the ball are
+    tried.  The seeds zoom in lockstep, one table for all boxes per step.  Only
+    signal and leaks are evaluated; SLSQP's objective and caps share each point
+    and get the 2-point Jacobians SciPy would build, bit for bit.  The beam is
     built once, at the returned angles.  Returns (value, angles, beam).
     """
     # scipy is imported here, not at module level, so that the region
@@ -443,11 +472,18 @@ def best_rank_one_sweep(h_own, caps, p, grid: int = 0, rounds: int = 12,
                 memo[key] = float(sig[0]), zs[0], bool(feas[0]), full
             return memo[key]
 
+        def objective(x):
+            return -table_at(x)[0]
+
         def local_step(start, margin):
             cons = []
             if bounds.size:
-                cons.append({"type": "ineq", "fun": lambda x: bounds - margin - table_at(x)[1]})
-            res = minimize(lambda x: -table_at(x)[0], start, method="SLSQP",
+                def slack(x):
+                    return bounds - margin - table_at(x)[1]
+                cons.append({"type": "ineq", "fun": slack,
+                             "jac": lambda x: _forward_differences(slack, x)})
+            res = minimize(objective, start, method="SLSQP",
+                           jac=lambda x: _forward_differences(objective, x)[0],
                            constraints=cons, options={"maxiter": 120, "ftol": 1e-12})
             x = np.asarray(res.x, dtype=float)
             return table_at(x) if np.all(np.isfinite(x)) else None
@@ -468,30 +504,49 @@ def best_rank_one_sweep(h_own, caps, p, grid: int = 0, rounds: int = 12,
         raise ValueError("no feasible sweep point under the given caps")
     if 0 < mbar == frame.dim:
         seeds += top_candidates(disk & (np.arange(disk.size) != mbar - 1), 3)
-    best = None
-    for seed in seeds:
-        cur = seed
-        free = seed[2]
-        cols = np.flatnonzero(free)
-        pattern = _box_pattern(zoom_pts, cols.size)
-        width = widths.copy()
-        shrinks = 0
-        steps = 0
-        while shrinks < rounds and steps < 5 * rounds:
-            steps += 1
-            angles, signal, _, feas = table(_zoom_rows(cur[1], width, zoom_pts, cols, pattern))
+    # the seeds zoom in lockstep: each step stacks the boxes of the seeds still
+    # zooming into one table() call, and each seed moves or shrinks by its rows
+    cur, width = list(seeds), [widths.copy() for _ in seeds]
+    shrinks, steps = [0] * len(seeds), [0] * len(seeds)
+    boxes = [(np.flatnonzero(free), _box_pattern(zoom_pts, int(free.sum()))) for *_, free in seeds]
+    live = list(range(len(seeds))) if rounds > 0 else []
+    while live:
+        blocks = [_zoom_rows(cur[i][1], width[i], zoom_pts, *boxes[i]) for i in live]
+        angles, signal, _, feas = table(np.concatenate(blocks))
+        stop = 0
+        for i, block in zip(live, blocks):
+            start, stop = stop, stop + len(block)
+            sig, ok = signal[start:stop], feas[start:stop]
+            steps[i] += 1
             moved = False
-            if np.any(feas):
-                idx = int(np.flatnonzero(feas)[np.argmax(signal[feas])])
-                if signal[idx] > cur[0]:
-                    moved = signal[idx] - cur[0] > 1e-6 * max(1.0, abs(cur[0]))
-                    cur = (float(signal[idx]), angles[idx], free)
+            if ok.any():
+                idx = int(np.flatnonzero(ok)[np.argmax(sig[ok])])
+                if sig[idx] > cur[i][0]:
+                    moved = sig[idx] - cur[i][0] > 1e-6 * max(1.0, abs(cur[i][0]))
+                    cur[i] = (float(sig[idx]), angles[start + idx], cur[i][2])
             if not moved:
-                width /= 3.0
-                shrinks += 1
-        cur = polish(cur)
-        if best is None or cur[0] > best[0]:
-            best = cur
+                width[i] /= 3.0
+                shrinks[i] += 1
+        live = [i for i in live if shrinks[i] < rounds and steps[i] < 5 * rounds]
+    # a seed that zoomed to an earlier seed's point polishes to the same point,
+    # which cannot beat it, so each point is polished once
+    best = None
+    for seed in {(v, a.tobytes(), free.tobytes()): (v, a, free) for v, a, free in cur}.values():
+        seed = polish(seed)
+        if best is None or seed[0] > best[0]:
+            best = seed
+    if 0 < mbar == frame.dim and not use_omega and np.isrealobj(terms[3]):
+        # with no residual direction the real signal p (gamma . h)^2 is convex in gamma, so it
+        # peaks on the rim (swept above) or at a vertex where mbar caps hold, gamma . cross_j =
+        # +-sqrt(b_j / p); a vertex in a thin sliver of the ball can hold no grid seed
+        gam = np.concatenate([np.zeros((0, mbar))] + [
+            (-1.0) ** _box_pattern(2, mbar) * np.sqrt(bounds[s] / p) @ np.linalg.pinv(terms[3][:, s])
+            for s in _box_pattern(bounds.size, mbar) if np.all(np.diff(s) > 0)])
+        angles, signal, _, feas = table(_angles_of_gamma(gam[np.sum(gam ** 2, axis=1) <= 1.0]))
+        if feas.any():
+            idx = int(np.flatnonzero(feas)[np.argmax(signal[feas])])
+            if signal[idx] - best[0] > 1e-6 * max(1.0, abs(best[0])):
+                best = (float(signal[idx]), angles[idx], disk)
     value, angles = best[:2]
     omega = angles[None, mbar:] if use_omega else None
     return value, angles, rank_one_rows(frame, p, angles[None, :mbar], omega)[3][0]

@@ -351,13 +351,15 @@ def general_rank_solve(prob: ConstrainedMaxProblem, tol: float = 1e-7,
 
 
 def _report(prob: ConstrainedMaxProblem, s, bound, lam, tol: float) -> OracleReport:
-    """The report of covariance s against the dual bound at lam (iterations 0)."""
+    """The report of covariance s against the dual bound at lam (iterations 0);
+    a value above that bound beyond rounding shows s infeasible: not certified."""
     h = prob.target
     s = hermitize(s, tol=1e-6)
     value = float(np.real(h.conj() @ s @ h))
     residuals = _cap_residuals(prob, s)
     gap = bound - value
-    certified = bool(gap <= tol * max(1.0, abs(bound))
+    scale = max(1.0, abs(bound))
+    certified = bool(-1e-12 * scale <= gap <= tol * scale
                      and residuals.max() <= tol * max(1.0, prob.p))
     return OracleReport(value=value, s=s, residuals=residuals, iterations=0,
                         certified=certified,

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mreduce import (
+    _angles_of_gamma,
     ReducedFrame,
     SphericalParams,
     default_axes,
@@ -356,24 +357,6 @@ def zf_point(net: MisoNetwork, nats: bool = False) -> RegionSample:
     return next(_samples(_cross_blocks(net, _zf_tables(net), nats)))
 
 
-def _invert_gamma_to_psi(gamma: np.ndarray) -> np.ndarray:
-    """Angles whose signed-cosine-product recursion reproduces ``gamma``.
-
-    Valid for real gamma with norm <= 1; the running cosine product is kept
-    non-negative, signs land on the sines.
-    """
-    psi = np.zeros(gamma.size)
-    lead = 1.0
-    for k, g in enumerate(gamma):
-        if lead <= 1e-12:
-            psi[k] = 0.0
-            continue
-        s = float(np.clip(g / lead, -1.0, 1.0))
-        psi[k] = np.arcsin(s)
-        lead *= np.sqrt(max(1.0 - s * s, 0.0))
-    return psi
-
-
 def single_user_max_surface(net: MisoNetwork, user: int, grid: int = 24,
                             nats: bool = False):
     """Sweep the region face where one user's rate sits at its maximum.
@@ -396,7 +379,7 @@ def single_user_max_surface(net: MisoNetwork, user: int, grid: int = 24,
             own_norm = float(np.linalg.norm(net.h(i, i)))
             if own_norm > 0.0 and frame.mbar:
                 target = np.real(frame.h_low) / own_norm
-                psi_pin = _invert_gamma_to_psi(target)
+                psi_pin = _angles_of_gamma(target[None, :])[0]
             else:
                 psi_pin = np.zeros(frame.mbar)
             psi_axes = [np.array([v]) for v in psi_pin]

@@ -319,6 +319,20 @@ def test_three_caps_in_two_dimensions_are_never_falsely_certified():
     assert rep.value == pytest.approx(rank_one_search(prob).value, rel=1e-9)
 
 
+def test_a_value_above_its_dual_bound_is_not_certified():
+    """certify_op(1, 85, 2, False, 3): the first nesting order ends with a cap
+    excess of 2.0e-9 on a cap with multiplier 22.2 and a value 4.4e-8 above
+    its own dual bound, both within tol; only the other order's covariance is
+    feasible, and it certifies 1.074178311677579."""
+    prob = upper_problem(*certify_input(1, 85, 2, False, 3))
+    rep = general_rank_solve(prob, restarts=2)
+    bound = rep.certificate["dual_value"]
+    assert rep.certified
+    assert rep.value <= bound + 1e-12 * max(1.0, abs(bound))
+    assert float(rep.residuals.max()) <= 1e-12
+    assert rep.value == pytest.approx(1.074178311677579, rel=1e-12, abs=0.0)
+
+
 class TestWeightedSumBoundary:
     def test_first_user_only(self):
         net = build_symmetric_pair()
