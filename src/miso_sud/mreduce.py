@@ -7,7 +7,10 @@ into a leading mbar-dimensional block, leaving the own channel split into a
 low part (seen by the constraints) and a residual that is interference-free.
 Rank-one covariances of the reduced block are parametrized by spherical
 angles; the lift back to full dimension fills in the residual direction
-optimally via the bordered completion of :mod:`miso_sud.rankone`.
+optimally via the bordered completion of :mod:`miso_sud.rankone`.  The
+rank-one oracle best_rank_one_sweep needs no angles: it solves the capped
+problem as a convex program in beam coordinates, sharing no code with the
+oracles of :mod:`miso_sud.oracle` that it is checked against.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numlin import hermitize, unitary_completion
+from .numlin import hermitize, null_basis, unitary_completion
 from .rankone import CompletionInput, lemma5_complete
 
 __all__ = [
@@ -232,39 +235,26 @@ def powers_closed_form(norm0, norm1, norm2, theta01, theta12, theta02, p, psi1, 
     return signal, z1sq, z2sq
 
 
-def _frame_terms(frame: ReducedFrame):
-    """Angle-free terms of _signal_leaks: mbar, conj(h_low), ||h_hat||, conj cross columns."""
-    cross = np.stack([v.conj() for v in frame.hj_low], axis=1) if frame.hj_low else None
-    return frame.mbar, frame.h_low.conj(), float(np.linalg.norm(frame.h_hat)), cross
-
-
-def _signal_leaks(terms, p: float, psis, omegas=None):
-    """Reduced directions, own projections, slacks, signal and leaks at rows of
-    sweep angles, from the _frame_terms of one frame."""
-    mbar, own, hat_norm, cross = terms
-    n = psis.shape[0]
-    gam = gamma_from_angles(psis, omegas) if mbar else np.zeros((n, 0))
-    own_proj = gam @ own if mbar else np.zeros(n)
-    slack = np.sqrt(np.maximum(1.0 - np.sum(np.abs(gam) ** 2, axis=1), 0.0))
-    signal = p * (np.abs(own_proj) + hat_norm * slack) ** 2
-    zsq = p * np.abs(gam @ cross) ** 2 if cross is not None else np.zeros((n, 0))
-    return gam, own_proj, slack, signal, zsq
-
-
 def rank_one_rows(frame: ReducedFrame, p: float, psis, omegas=None):
     """Own signal, leaks and beams of one transmitter at rows of sweep angles.
 
     psis (and omegas, if given) are n x mbar arrays, one row per sample.
     Returns (gammas, signal, zsq, beams) as described in rank_one_table.
     """
-    _, _, hat_norm, _ = terms = _frame_terms(frame)
-    gam, own_proj, slack, signal, zsq = _signal_leaks(terms, p, psis, omegas)
+    n = psis.shape[0]
+    gam = gamma_from_angles(psis, omegas) if frame.mbar else np.zeros((n, 0))
+    own_proj = gam @ frame.h_low.conj() if frame.mbar else np.zeros(n)
+    hat_norm = float(np.linalg.norm(frame.h_hat))
+    slack = np.sqrt(np.maximum(1.0 - np.sum(np.abs(gam) ** 2, axis=1), 0.0))
+    signal = p * (np.abs(own_proj) + hat_norm * slack) ** 2
+    cross = np.stack([v.conj() for v in frame.hj_low], axis=1) if frame.hj_low else None
+    zsq = p * np.abs(gam @ cross) ** 2 if frame.hj_low else np.zeros((n, 0))
 
     # beamformer realizing the lift: reduced part sqrt(P)*gamma, residual part
     # phase-aligned with the own-signal contribution
     t = frame.dim
     cplx = np.iscomplexobj(gam) or np.iscomplexobj(frame.transform)
-    kappa = np.zeros((len(psis), t), dtype=complex if cplx else float)
+    kappa = np.zeros((n, t), dtype=complex if cplx else float)
     kappa[:, : frame.mbar] = np.sqrt(p) * gam
     if t > frame.mbar and hat_norm > 0.0:
         mag = np.abs(own_proj)
@@ -338,215 +328,74 @@ def _angle_rows(axes) -> np.ndarray:
     return np.stack([g.ravel() for g in mesh], axis=1)
 
 
-def _box_pattern(n: int, count: int) -> np.ndarray:
-    """Index rows of the Cartesian product of count axes of n points, the first
-    axis slowest: one row of shape (0,) when count is 0."""
-    return np.indices((n,) * count).reshape(count, n ** count).T
+def best_rank_one_sweep(h_own, caps, p, complex_phases: bool = False):
+    """Max |h'w|^2 over beams with ||w||^2 <= p and |v_j'w|^2 <= b_j for the
+    (cross_vector v_j, bound b_j) pairs of caps, as (|h'w|^2, w).
 
-
-def _zoom_rows(center, width, n: int, cols, pattern) -> np.ndarray:
-    """Rows of the box center + linspace(-width, width, n) on the axes cols,
-    the other axes at center, in the order of pattern = _box_pattern(n, len(cols)).
-
-    The rows are bit for bit those of _angle_rows on those linspace axes:
-    the offsets of every axis are computed at once in linspace's own
-    arithmetic (n >= 2).
-    """
-    offsets = np.arange(n, dtype=float)[:, None] * ((width - -width) / (n - 1)) + -width
-    offsets[-1] = width
-    rows = np.repeat(center[None, :], len(pattern), axis=0)
-    rows[:, cols] = center[cols] + offsets[pattern, cols]
-    return rows
-
-
-def _forward_differences(fun, x) -> np.ndarray:
-    """SciPy's 2-point Jacobian of fun at x for SLSQP without jac, bit for bit: step sqrt(eps),
-    or sqrt(eps) sign(x_i) max(1, |x_i|) where x_i + sqrt(eps) == x_i; over (x_i + h_i) - x_i."""
-    root_eps = np.sqrt(np.finfo(float).eps)
-    sign = (x >= 0).astype(float) * 2 - 1
-    h = np.where((x + root_eps) - x == 0, root_eps * sign * np.maximum(1.0, np.abs(x)), root_eps)
-    f0 = np.atleast_1d(fun(x))
-    df = np.empty((x.size, f0.size))
-    for i in range(x.size):
-        x1 = x.copy()
-        x1[i] += h[i]
-        df[i] = fun(x1) - f0
-    return (df / ((x + h) - x)[:, None]).T
-
-
-def best_rank_one_sweep(h_own, caps, p, grid: int = 0, rounds: int = 12,
-                        complex_phases: bool = False):
-    """Best rank-one own-signal power under upper interference caps, by sweep.
-
-    caps is a list of (cross_vector, bound) pairs treated as upper limits on
-    the interference power.  A coarse grid over the reduced spherical
-    parameters seeds several well-separated incumbents; each is refined by
-    a deterministic shrinking-box zoom and then a smooth constrained local
-    step, which tracks optima that sit on cap boundaries where axis-aligned
-    grids lose linear accuracy.  Without a residual direction (t = mbar) the
-    power can sit on the rim |gamma| = 1, a fold of the angle chart that
-    neither step can slide along; the rim is then also swept on its own, as
-    the slice psi_mbar = pi/2 with mbar - 1 free angles, which adds three
-    seeds of its own, and on a real frame the caps' vertices in the ball are
-    tried.  The seeds zoom in lockstep, one table for all boxes per step.  Only
-    signal and leaks are evaluated; SLSQP's objective and caps share each point
-    and get the 2-point Jacobians SciPy would build, bit for bit.  The beam is
-    built once, at the returned angles.  Returns (value, angles, beam).
+    With h'w made real by a global phase this is max Re(h'w), a convex
+    second-order cone program (Wiesel, Eldar & Shamai, IEEE TSP 2006),
+    solved by SLSQP from w = 0 on the real coordinates x of w (complex when
+    any input is, or with complex_phases) and on the complement of the
+    vectors of caps of bound 0.  Newton steps on the multipliers finish it;
+    the beam is then scaled into exact feasibility.  The name of the
+    angle-grid search this replaced is kept for the benchmark.
     """
     # scipy is imported here, not at module level, so that the region
     # sweeps and the CLI run on numpy alone
     from scipy.optimize import minimize
 
-    vecs = [np.asarray(v) for v, _ in caps]
-    bounds = np.array([float(b) for _, b in caps])
-    frame = reduce_interference_frame(h_own, vecs)
-    terms = _frame_terms(frame)
-    mbar = frame.mbar
-    tol = 1e-9 * max(1.0, float(bounds.max()) if bounds.size else 1.0)
-    n_axes = mbar * (2 if sweeps_phases(mbar, complex_phases) else 1)
-    if grid <= 0:
-        grid = {0: 2, 1: 41, 2: 41, 3: 15, 4: 11}.get(min(n_axes, 4), 7)
-    zoom_pts = 9 if n_axes <= 2 else (5 if n_axes == 3 else 3)
-    n_seeds = 1 if n_axes <= 1 else (3 if n_axes == 2 else (4 if n_axes == 3 else 6))
-    psi_axes, omega_axes = default_axes(mbar, grid, complex_phases)
-    use_omega = omega_axes is not None
-    axes = psi_axes + (omega_axes if use_omega else [])
-    widths = np.array([np.pi / max(grid - 1, 1)] * mbar
-                      + ([2 * np.pi / grid] * mbar if use_omega else []))
+    # np.stack refuses vectors of different dimensions
+    cols = np.stack([np.atleast_1d(np.asarray(u)) for u in [h_own] + [v for v, _ in caps]], axis=1)
+    bounds, p = np.array([float(b) for _, b in caps]), float(p)
+    if not np.all(np.isfinite(np.concatenate([cols.ravel(), bounds, [p]]))) or min([p, *bounds]) < 0:
+        raise ValueError("channels must be finite, power and cap bounds finite and non-negative")
+    cplx = complex_phases or np.iscomplexobj(cols)
+    zero = np.concatenate([[False], bounds == 0.0])
+    basis = null_basis(cols[:, zero].conj().T) if zero.any() else np.eye(len(cols))
 
-    # a chart is the mask of angles a seed may move: the first phase is
-    # pinned to 0, and on the rim chart so is psi_mbar, to pi/2
-    disk = np.ones(len(axes), dtype=bool)
-    if use_omega:
-        disk[mbar] = False
+    def real(a):
+        """a as a real matrix on x = (Re y, Im y) when y is complex."""
+        return np.block([[a.real, -a.imag], [a.imag, a.real]]) if cplx else a
 
-    def table(angles):
-        """Rows of angles, their signal and leaks, and the mask of rows within every cap."""
-        omega = angles[:, mbar:] if use_omega else None
-        _, _, _, signal, zsq = _signal_leaks(terms, p, angles[:, :mbar], omega)
-        return angles, signal, zsq, np.all(zsq <= bounds + tol, axis=1)
+    g = basis.conj().T @ cols[:, ~zero]
+    c = real(g[:, :1])[:, 0]
+    norm = float(np.linalg.norm(c))
+    if norm == 0.0 or p == 0.0:
+        return 0.0, np.zeros(len(cols), dtype=complex if cplx else float)
+    # the budget ||w||^2 <= p, then the caps |v_j'w|^2 <= b_j, as x'Q_i x <= b_i
+    quads = np.stack([np.eye(c.size)] + [real(np.outer(u, u.conj())) for u in g[:, 1:].T])
+    budgets = np.concatenate([[p], bounds])[~zero]
+    res = minimize(lambda x: -(c @ x) / norm, np.zeros(c.size), jac=lambda x: -c / norm,
+                   method="SLSQP", options={"maxiter": 200, "ftol": 1e-15},
+                   constraints=[{"type": "ineq", "fun": lambda x: budgets - (quads @ x) @ x,
+                                 "jac": lambda x: -2.0 * (quads @ x)}])
+    best = (-1.0, None)
+    for x in (res.x, _multiplier_newton(c, quads, budgets, res.x)):
+        w = basis @ (x[:g.shape[0]] + 1j * x[g.shape[0]:] if cplx else x)
+        gains = np.abs(w @ cols.conj()) ** 2
+        forms = np.concatenate([[np.vdot(w, w).real], gains[1:][~zero[1:]]])
+        w = w * np.sqrt(np.min(budgets / np.maximum(forms, budgets)))
+        best = max(best, (float(abs(np.vdot(cols[:, 0], w)) ** 2), w), key=lambda got: got[0])
+    return best
 
-    def top_candidates(free, count):
-        """The best feasible grid rows of one chart, pairwise two cells apart."""
-        pinned = [a if f else np.array([np.pi / 2 if i < mbar else 0.0])
-                  for i, (a, f) in enumerate(zip(axes, free))]
-        angles, signal, _, feas = table(_angle_rows(pinned))
-        # psi_mbar enters gamma only through its sine: pi - psi_mbar is a
-        # mirror image of psi_mbar, not another basin
-        canon = angles.copy()
-        last = canon[:, mbar - 1:mbar]
-        np.minimum(last, np.pi - last, out=last)
-        order = np.flatnonzero(feas)
-        order = order[np.argsort(signal[order])][::-1]
-        chosen = []
-        for j in order:
-            far = True
-            for c in chosen:
-                delta = np.abs(canon[j] - canon[c])
-                if use_omega:
-                    w = delta[mbar:]
-                    delta[mbar:] = np.minimum(w, 2 * np.pi - w)
-                # seeds two coarse cells apart count as distinct basins
-                if float(np.max(delta / widths)) < 2.0:
-                    far = False
-                    break
-            if far:
-                chosen.append(j)
-                if len(chosen) == count:
-                    break
-        return [(float(signal[j]), angles[j], free) for j in chosen]
 
-    def polish(seed):
-        val0, center, free = seed
-        if not np.any(free):
-            return seed
-        memo = {}
-
-        def table_at(x):
-            # SLSQP asks for the objective and the caps at the same points
-            key = x.tobytes()
-            if key not in memo:
-                full = center.copy()
-                full[free] = x
-                _, sig, zs, feas = table(full[None, :])
-                memo[key] = float(sig[0]), zs[0], bool(feas[0]), full
-            return memo[key]
-
-        def objective(x):
-            return -table_at(x)[0]
-
-        def local_step(start, margin):
-            cons = []
-            if bounds.size:
-                def slack(x):
-                    return bounds - margin - table_at(x)[1]
-                cons.append({"type": "ineq", "fun": slack,
-                             "jac": lambda x: _forward_differences(slack, x)})
-            res = minimize(objective, start, method="SLSQP",
-                           jac=lambda x: _forward_differences(objective, x)[0],
-                           constraints=cons, options={"maxiter": 120, "ftol": 1e-12})
-            x = np.asarray(res.x, dtype=float)
-            return table_at(x) if np.all(np.isfinite(x)) else None
-
-        got = local_step(center[free], 0.0)
-        if got is not None and not got[2]:
-            # the step can stop a rounding error outside a cap: rerun it from
-            # there with the caps pulled in by twice that overshoot
-            got = local_step(got[3][free], 2.0 * np.maximum(got[1] - bounds, 0.0))
-        if got is None or not got[2] or got[0] <= val0:
-            return seed
-        return got[0], got[3], free
-
-    seeds = top_candidates(disk, n_seeds)
-    if not seeds:
-        # psi = 0 is always feasible (zero interference); the grid contains
-        # it, so reaching here means caps are negative or numerics broke
-        raise ValueError("no feasible sweep point under the given caps")
-    if 0 < mbar == frame.dim:
-        seeds += top_candidates(disk & (np.arange(disk.size) != mbar - 1), 3)
-    # the seeds zoom in lockstep: each step stacks the boxes of the seeds still
-    # zooming into one table() call, and each seed moves or shrinks by its rows
-    cur, width = list(seeds), [widths.copy() for _ in seeds]
-    shrinks, steps = [0] * len(seeds), [0] * len(seeds)
-    boxes = [(np.flatnonzero(free), _box_pattern(zoom_pts, int(free.sum()))) for *_, free in seeds]
-    live = list(range(len(seeds))) if rounds > 0 else []
-    while live:
-        blocks = [_zoom_rows(cur[i][1], width[i], zoom_pts, *boxes[i]) for i in live]
-        angles, signal, _, feas = table(np.concatenate(blocks))
-        stop = 0
-        for i, block in zip(live, blocks):
-            start, stop = stop, stop + len(block)
-            sig, ok = signal[start:stop], feas[start:stop]
-            steps[i] += 1
-            moved = False
-            if ok.any():
-                idx = int(np.flatnonzero(ok)[np.argmax(sig[ok])])
-                if sig[idx] > cur[i][0]:
-                    moved = sig[idx] - cur[i][0] > 1e-6 * max(1.0, abs(cur[i][0]))
-                    cur[i] = (float(sig[idx]), angles[start + idx], cur[i][2])
-            if not moved:
-                width[i] /= 3.0
-                shrinks[i] += 1
-        live = [i for i in live if shrinks[i] < rounds and steps[i] < 5 * rounds]
-    # a seed that zoomed to an earlier seed's point polishes to the same point,
-    # which cannot beat it, so each point is polished once
-    best = None
-    for seed in {(v, a.tobytes(), free.tobytes()): (v, a, free) for v, a, free in cur}.values():
-        seed = polish(seed)
-        if best is None or seed[0] > best[0]:
-            best = seed
-    if 0 < mbar == frame.dim and not use_omega and np.isrealobj(terms[3]):
-        # with no residual direction the real signal p (gamma . h)^2 is convex in gamma, so it
-        # peaks on the rim (swept above) or at a vertex where mbar caps hold, gamma . cross_j =
-        # +-sqrt(b_j / p); a vertex in a thin sliver of the ball can hold no grid seed
-        gam = np.concatenate([np.zeros((0, mbar))] + [
-            (-1.0) ** _box_pattern(2, mbar) * np.sqrt(bounds[s] / p) @ np.linalg.pinv(terms[3][:, s])
-            for s in _box_pattern(bounds.size, mbar) if np.all(np.diff(s) > 0)])
-        angles, signal, _, feas = table(_angles_of_gamma(gam[np.sum(gam ** 2, axis=1) <= 1.0]))
-        if feas.any():
-            idx = int(np.flatnonzero(feas)[np.argmax(signal[feas])])
-            if signal[idx] - best[0] > 1e-6 * max(1.0, abs(best[0])):
-                best = (float(signal[idx]), angles[idx], disk)
-    value, angles = best[:2]
-    omega = angles[None, mbar:] if use_omega else None
-    return value, angles, rank_one_rows(frame, p, angles[None, :mbar], omega)[3][0]
+def _multiplier_newton(c, quads, budgets, x0):
+    """The maximizer of c'x on the constraints x'Q_i x <= b_i active at x0, or
+    x0 if that fails: Newton steps on their multipliers mu, fitted to c = M x0
+    first, minimize the dual, where x = M^-1 c with M = 2 sum_i mu_i Q_i, the
+    gradient is b - x'Q x and the Hessian 4 (Q x)' M^-1 (Q x)."""
+    qx = quads @ x0
+    act = np.flatnonzero(qx @ x0 >= budgets * (1.0 - 1e-6))
+    mu = np.linalg.lstsq(2.0 * qx[act].T, c, rcond=None)[0]
+    try:
+        for _ in range(30):
+            m = 2.0 * np.tensordot(mu, quads[act], 1)
+            x = np.linalg.solve(m, c)
+            qx = quads[act] @ x
+            resid = budgets[act] - qx @ x
+            if np.all(np.abs(resid) <= 1e-15 * budgets[act]):
+                break
+            mu = mu - np.linalg.solve(4.0 * qx @ np.linalg.solve(m, qx.T), resid)
+    except np.linalg.LinAlgError:
+        return x0
+    return x if np.all(np.isfinite(x)) else x0

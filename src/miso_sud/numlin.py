@@ -15,6 +15,7 @@ __all__ = [
     "NumericalError",
     "hermitize",
     "unitary_completion",
+    "null_basis",
     "eig_hermitian",
     "psd_check",
     "project_psd",
@@ -76,6 +77,13 @@ def unitary_completion(h) -> np.ndarray:
     u = refl.copy()
     u[:, 0] *= alpha / nrm
     return u
+
+
+def null_basis(rows) -> np.ndarray:
+    """Orthonormal columns spanning the x with rows @ x = 0."""
+    _, sv, vh = np.linalg.svd(rows, full_matrices=True)
+    rank = int(np.sum(sv > 1e-12 * (sv[0] if sv.size else 1.0)))
+    return vh[rank:].conj().T
 
 
 def eig_hermitian(a, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:

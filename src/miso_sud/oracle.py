@@ -18,7 +18,7 @@ import numpy as np
 # module level on purpose: importing the oracle layer is where scipy is paid
 from scipy.optimize import brentq
 
-from .numlin import FeasibilityError, eig_hermitian, hermitize
+from .numlin import FeasibilityError, eig_hermitian, hermitize, null_basis
 from .region import MisoNetwork, m_user_region
 from .twouser import two_user_region
 
@@ -58,13 +58,13 @@ class ConstrainedMaxProblem:
             vec = np.atleast_1d(np.asarray(vec))
             if vec.size != dim:
                 raise ValueError("cap vector dimension mismatch")
-            if bound < 0:
-                raise ValueError("cap bounds must be non-negative")
+            if not (np.all(np.isfinite(vec)) and np.isfinite(bound) and bound >= 0):
+                raise ValueError("cap vectors must be finite, bounds finite and non-negative")
             if kind not in _KINDS:
                 raise ValueError(f"cap kind must be one of {_KINDS}")
             caps.append((vec, float(bound), kind))
-        if self.p < 0:
-            raise ValueError("trace budget must be non-negative")
+        if not (np.all(np.isfinite(target)) and np.isfinite(self.p) and self.p >= 0):
+            raise ValueError("target must be finite, trace budget finite and non-negative")
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "caps", tuple(caps))
         object.__setattr__(self, "p", float(self.p))
@@ -107,13 +107,6 @@ def _check_equality_reach(vec: np.ndarray, bound: float, p: float) -> float:
     if bound > top + 1e-9 * max(1.0, top):
         raise FeasibilityError("equality cap exceeds the trace budget times the gain")
     return top
-
-
-def _null_basis(rows: np.ndarray) -> np.ndarray:
-    """Orthonormal columns spanning the x with rows @ x = 0."""
-    _, sv, vh = np.linalg.svd(rows, full_matrices=True)
-    rank = int(np.sum(sv > 1e-12 * (sv[0] if sv.size else 1.0)))
-    return vh[rank:].conj().T
 
 
 # a bracket search doubles its step at most this often, to 2**40 times the
@@ -297,7 +290,7 @@ def general_rank_solve(prob: ConstrainedMaxProblem, tol: float = 1e-7,
     h = prob.target
     zero = [j for j, (_, bound, _) in enumerate(prob.caps) if bound == 0.0]
     if zero:
-        basis = _null_basis(np.stack([prob.caps[j][0].conj() for j in zero]))
+        basis = null_basis(np.stack([prob.caps[j][0].conj() for j in zero]))
         kept = [j for j in range(len(prob.caps)) if j not in zero]
         lam = np.full(len(prob.caps), np.inf)
         s, bound, evals = np.zeros((prob.dim, prob.dim), dtype=basis.dtype), 0.0, 0
@@ -378,7 +371,7 @@ class _PhaseSlices:
         self.tol = tol
         self.pinv = np.linalg.pinv(cmat)
         self.cmat = cmat
-        self.nbasis = _null_basis(cmat)
+        self.nbasis = null_basis(cmat)
         hn = self.nbasis.conj().T @ h
         self.hn_norm = float(np.linalg.norm(hn))
         self.null_dir = (self.nbasis @ hn) / self.hn_norm if self.hn_norm > 0 else None

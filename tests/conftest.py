@@ -3,7 +3,8 @@
 import os
 
 # one BLAS thread, as perfbench/run.py sets it, before numpy is first imported:
-# SLSQP's rounding in best_rank_one_sweep depends on the thread count
+# SLSQP's iteration count in best_rank_one_sweep, which TestSweepCost pins,
+# depends on the thread count
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 

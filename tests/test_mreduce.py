@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 import scipy.optimize
-from scipy.optimize import approx_fprime
 from hypothesis import given, settings, strategies as st
 
 from miso_sud.mreduce import (
@@ -18,9 +17,7 @@ from miso_sud.mreduce import (
     lift_covariance,
     spherical_rank_one,
 )
-from miso_sud import mreduce
-from miso_sud.mreduce import _angle_rows, _box_pattern, _frame_terms, _signal_leaks, _zoom_rows
-from miso_sud.oracle import ConstrainedMaxProblem, rank_one_search
+from miso_sud.oracle import ConstrainedMaxProblem, general_rank_solve, rank_one_search
 from miso_sud.twouser import max_signal_given_interference
 from tests.conftest import H1, certify_input, random_vector
 
@@ -260,8 +257,7 @@ class TestSweep:
             h3 = random_vector(rng, t, cplx)
             p = float(rng.uniform(0.5, 5.0))
             cap = float(rng.uniform(0.05, 1.0))
-            val, _, _ = best_rank_one_sweep(h1, [(h3, cap)], p, rounds=16,
-                                            complex_phases=cplx)
+            val, _ = best_rank_one_sweep(h1, [(h3, cap)], p, complex_phases=cplx)
             n3 = np.linalg.norm(h3)
             z_mf = np.sqrt(p) * abs(np.vdot(h3, h1)) / np.linalg.norm(h1)
             zstar = min(np.sqrt(cap), z_mf, np.sqrt(p) * n3)
@@ -272,7 +268,7 @@ class TestSweep:
     def test_no_caps_matched_filter(self):
         rng = np.random.default_rng(19)
         h = random_vector(rng, 3, True)
-        val, _, beam = best_rank_one_sweep(h, [], 2.0)
+        val, beam = best_rank_one_sweep(h, [], 2.0)
         assert val == pytest.approx(2.0 * np.linalg.norm(h) ** 2, rel=1e-12)
         assert abs(np.vdot(h, beam)) ** 2 == pytest.approx(val, rel=1e-10)
 
@@ -303,13 +299,12 @@ class TestSweep:
 
 
 class TestSweepOnCertifyInputs:
-    """Real inputs with two caps on which a one-seed sweep stopped in the
-    wrong local maximum.  With d = mbar = 2 the own channel has no residual
-    direction and the feasible gammas form a disk cut by two slabs, with
-    local maxima at cap-cap vertices and on the rim |gamma| = 1; (2, 1768)
-    needs a vertex inside the disk, (11, 2201) has d = 3.  On (3, 10632),
-    (2, 12936) and (10, 11752) the optimum is a vertex in a sliver of the disk
-    that no grid seed reaches: every seed ended 1.0e-3 to 6.1e-3 short."""
+    """Real inputs with two caps on which the angle-grid search that this
+    solve replaced stopped in the wrong local maximum of its chart.  With
+    d = mbar = 2 the feasible beams form a disk cut by two slabs, with
+    optima at cap-cap vertices and on the rim; (2, 1768) has its vertex
+    inside the disk, (11, 2201) has d = 3, and on (3, 10632), (2, 12936) and
+    (10, 11752) the vertex lies in a sliver of the disk."""
 
     @pytest.mark.parametrize("seed,index", [
         (20, 56), (11, 504), (11, 632), (12, 712), (14, 584), (15, 1272),
@@ -318,18 +313,14 @@ class TestSweepOnCertifyInputs:
     def test_reaches_the_rank_one_optimum(self, seed, index):
         # drawn as perfbench's certify workload draws (seed, index)
         h, caps, p = certify_input(seed, index, 2 + index % 4, False, 2)
-        val, _, beam = best_rank_one_sweep(h, caps, p)
+        val, beam = best_rank_one_sweep(h, caps, p)
         prob = ConstrainedMaxProblem(
             target=h, caps=tuple((v, b, "upper") for v, b in caps), p=p)
         search = rank_one_search(prob).value
         assert search - val <= 1e-6 * max(1.0, search)
-        # the sweep admits a cap excess of 1e-9 * max(1, bound); on (15, 1272)
-        # its beam uses it and lands 2.1e-5 above the search, a gain bounded
-        # by that excess times the cap's multiplier lambda_1 = 5,352
-        tol = 1e-9 * max(1.0, max(b for _, b in caps))
         assert np.linalg.norm(beam) ** 2 <= p * (1.0 + 1e-12)
         for v, b in caps:
-            assert abs(np.vdot(v, beam)) ** 2 <= b + tol
+            assert abs(np.vdot(v, beam)) ** 2 <= b * (1.0 + 1e-12)
         assert abs(np.vdot(h, beam)) ** 2 == pytest.approx(val, rel=1e-10)
 
 
@@ -341,7 +332,7 @@ def _draw(rng, d, cplx):
 
 
 def sweep_golden_inputs():
-    """(name, h, caps, p, complex_phases) inputs whose sweep results are pinned."""
+    """(name, h, caps, p, complex_phases) inputs on which the returned beam is checked."""
     cases = []
     # two inputs per certify cell (d = 2-5; real with 1 or 2 caps, complex
     # with 1), drawn as perfbench's certify workload draws seed 7
@@ -351,11 +342,11 @@ def sweep_golden_inputs():
         h, caps, p = certify_input(7, index, 2 + index % 4, cplx, n_caps)
         cases.append((f"certify-{index}", h, caps, p, cplx))
     rng = np.random.default_rng(2024)
-    # t = mbar = 3: the rim |gamma| = 1 is swept as well
+    # t = 3 with three caps: no direction is free of them
     h = _draw(rng, 3, False)
     caps = [(g, 0.4 * float(np.linalg.norm(g)) ** 2) for g in (_draw(rng, 3, False) for _ in range(3))]
     cases.append(("rim", h, caps, 1.5, False))
-    # complex, mbar = 2 < t = 3, with phases swept
+    # complex, two caps in t = 3
     h = _draw(rng, 3, True)
     caps = [(g, 0.3 * float(np.linalg.norm(g)) ** 2) for g in (_draw(rng, 3, True) for _ in range(2))]
     cases.append(("phases", h, caps, 2.0, True))
@@ -363,11 +354,10 @@ def sweep_golden_inputs():
     return cases
 
 
-# float.hex of (value, angles) of best_rank_one_sweep on sweep_golden_inputs,
-# with one BLAS thread: any change to the search path (angles visited, their
-# order, the arithmetic of a visit) shows here
+# float.hex of (value, angles) that the angle-grid search which best_rank_one_sweep
+# replaced returned on sweep_golden_inputs, with one BLAS thread
 SWEEP_GOLDEN = [
-('certify-0', '0x1.8d9f05eddc36cp-2', ('0x1.0c91ed487873ep+1',)),
+    ('certify-0', '0x1.8d9f05eddc36cp-2', ('0x1.0c91ed487873ep+1',)),
     ('certify-1', '0x1.98411c949b028p+0', ('0x1.f5bc23a234e71p-2',)),
     ('certify-2', '0x1.d1988cf40e50ap+3', ('0x1.8a562a076bcddp+1',)),
     ('certify-3', '0x1.36c9c26759a09p+4', ('0x1.967c7464a147cp-2',)),
@@ -411,133 +401,94 @@ class TestSweepSearchPath:
     def test_value_and_angles_are_pinned(self, case, golden):
         name, h, caps, p, cplx = case
         assert name == golden[0]
-        val, angles, _ = best_rank_one_sweep(h, caps, p, complex_phases=cplx)
-        assert float(val).hex() == golden[1]
-        assert tuple(float(a).hex() for a in angles) == golden[2]
+        value = float.fromhex(golden[1])
+        angles = np.array([float.fromhex(a) for a in golden[2]])
+        frame = reduce_interference_frame(h, [v for v, _ in caps])
+        omegas = angles[None, frame.mbar:] if angles.size > frame.mbar else None
+        _, signal, zsq, beams = rank_one_rows(frame, p, angles[None, :frame.mbar], omegas)
+        # the pinned angles still give the pinned value, bit for bit
+        assert float(signal[0]).hex() == golden[1]
+        val, beam = best_rank_one_sweep(h, caps, p, complex_phases=cplx)
+        # that search admitted a cap excess of 1e-9 * max(1, b), and certify-24
+        # and phases spent 7e-13 and 1.7e-11 of it; with lambda_j b_j <= value
+        # a relative excess e moves the value by at most e relative
+        bounds = np.array([b for _, b in caps])
+        excess = max(float(np.max(zsq[0] / bounds)) - 1.0, 0.0) if caps else 0.0
+        assert val == pytest.approx(value, rel=1e-12 + excess, abs=0.0)
+        # the beam is the angles' beam up to a global phase; the search stopped
+        # up to 5e-15 short, where the value is flat to second order, so its
+        # angles hold to about sqrt(5e-15)
+        old = beams[0]
+        turn = np.vdot(beam, old)
+        turn = turn / abs(turn) if np.iscomplexobj(turn) else np.sign(turn)
+        assert np.linalg.norm(beam * turn - old) <= 1.5e-7 * np.linalg.norm(old)
 
     @pytest.mark.parametrize("case", sweep_golden_inputs(), ids=lambda c: c[0])
     def test_beam_realizes_the_value(self, case):
         _, h, caps, p, cplx = case
-        val, _, beam = best_rank_one_sweep(h, caps, p, complex_phases=cplx)
+        val, beam = best_rank_one_sweep(h, caps, p, complex_phases=cplx)
         assert abs(np.vdot(h, beam)) ** 2 == pytest.approx(val, rel=1e-12)
-        tol = 1e-9 * max([1.0] + [b for _, b in caps])
         for v, b in caps:
-            assert abs(np.vdot(v, beam)) ** 2 <= b + tol
+            assert abs(np.vdot(v, beam)) ** 2 <= b * (1.0 + 1e-12)
         assert np.linalg.norm(beam) ** 2 <= p * (1.0 + 1e-12)
 
 
-class TestSignalLeaks:
-    @pytest.mark.parametrize("cplx", [False, True])
-    @pytest.mark.parametrize("mbar", [0, 1, 2, 3])
-    def test_matches_rank_one_rows_bit_for_bit(self, mbar, cplx):
-        rng = np.random.default_rng(40 + 2 * mbar + cplx)
-        for t in (mbar, mbar + 2):
-            if t == 0:
-                continue
-            own = random_vector(rng, t, cplx)
-            frame = reduce_interference_frame(own, [random_vector(rng, t, cplx) for _ in range(mbar)])
-            assert frame.mbar == mbar
-            psis = rng.uniform(0.0, np.pi, size=(7, mbar))
-            for omegas in (None, rng.uniform(0.0, 2 * np.pi, size=(7, mbar))):
-                _, signal, zsq, _ = rank_one_rows(frame, 1.7, psis, omegas)
-                got = _signal_leaks(_frame_terms(frame), 1.7, psis, omegas)
-                assert np.array_equal(got[3], signal)
-                assert np.array_equal(got[4], zsq)
-
-
-class TestZoomRows:
-    @pytest.mark.parametrize("n", [3, 5, 6, 7, 9])
-    def test_matches_linspace_axes_bit_for_bit(self, n):
-        rng = np.random.default_rng(70 + n)
-        for k in range(6):
-            for _ in range(4):
-                center = rng.uniform(-4.0, 4.0, size=k)
-                width = rng.uniform(1e-7, 1.0, size=k) * 10.0 ** rng.integers(-3, 2, size=k)
-                free = rng.integers(0, 2, size=k).astype(bool)
-                cols = np.flatnonzero(free)
-                got = _zoom_rows(center, width, n, cols, _box_pattern(n, cols.size))
-                want = _angle_rows([c + np.linspace(-w, w, n) if f else np.atleast_1d(c)
-                                    for c, w, f in zip(center, width, free)])
-                assert got.shape == want.shape
-                assert got.tobytes() == want.tobytes()
-
-
-def _captured_slsqp_calls(monkeypatch, inputs):
-    """(objective, jac, constraints, start) of every SLSQP call that
-    best_rank_one_sweep makes on inputs = [(h, caps, p, complex_phases)]."""
-    calls = []
-    minimize = scipy.optimize.minimize
-
-    def record(fun, x0, **kw):
-        calls.append((fun, kw["jac"], kw["constraints"], np.array(x0, dtype=float)))
-        return minimize(fun, x0, **kw)
-
-    monkeypatch.setattr(scipy.optimize, "minimize", record)
-    for h, caps, p, cplx in inputs:
-        best_rank_one_sweep(h, caps, p, complex_phases=cplx)
-    return calls
-
-
-class TestSweepJacobians:
-    """SLSQP gets the Jacobians it would build itself without jac: SciPy's
-    2-point rule with absolute step sqrt(eps), the same bits.  SciPy's public
-    approx_fprime(x, f, sqrt(eps)) is approx_derivative(f, x, "2-point",
-    abs_step=sqrt(eps)), which SLSQP calls."""
-
-    # (seed, index, d, complex, caps) of certify inputs: mbar 1-3, real and
-    # complex; (1, 247) and (1, 84) rerun the step with the caps pulled in
-    CASES = [(1, 3, 2, False, 1), (1, 247, 2, False, 2), (1, 5, 3, False, 3),
-             (1, 2, 3, True, 1), (1, 84, 3, True, 2), (1, 64, 4, True, 3)]
-
-    def test_match_scipy_forward_differences_bit_for_bit(self, monkeypatch):
-        inputs = [certify_input(s, i, d, c, k) + (c,) for s, i, d, c, k in self.CASES]
-        calls = _captured_slsqp_calls(monkeypatch, inputs)
-        # a polish reruns its step (same objective) with nonzero cap margins
-        reruns = sum(a[0] is b[0] for a, b in zip(calls, calls[1:]))
-        assert reruns >= 2
-        assert {x0.size for *_, x0 in calls} == {1, 2, 3, 5}
-        step = np.sqrt(np.finfo(float).eps)
-        rng = np.random.default_rng(17)
-        for fun, jac, cons, x0 in calls:
-            # x_i = 0 (either sign) and |x_i| so large that x_i + sqrt(eps)
-            # rounds back to x_i, where SciPy falls back to a relative step
-            points = [x0, rng.uniform(-7.0, 7.0, x0.size)]
-            for j in range(x0.size):
-                for big in (0.0, -0.0, 1e17, -3e16, 4.5e15):
-                    x = x0.copy()
-                    x[j] = big
-                    points.append(x)
-            for x in points:
-                assert jac(x).tobytes() == approx_fprime(x, fun, step).tobytes()
-                for con in cons:
-                    want = np.atleast_2d(approx_fprime(x, con["fun"], step))
-                    assert con["jac"](x).tobytes() == want.tobytes()
-
-
 class TestSweepCost:
-    """Signal-and-leak evaluations of one sweep.  The seeds zoom in lockstep,
-    one evaluation per step for all of them, where each seed used to take its
-    own, and seeds that zoomed to the same point are polished once.  Before
-    both, a sweep evaluated 107 times on the real input (6 seeds, the rim
-    chart among them) and 166 times on the complex one; the lockstep zoom
-    alone takes 35 and 75, and with one polish per point 25 and 66.  Counts
-    are deterministic, so this guards the cost on any host; the values are
-    those from before, bit for bit."""
+    """One SLSQP solve per call, from w = 0, with exact gradients.  The
+    iteration counts (one BLAS thread) guard that cost on any host: the
+    angle-grid search that this solve replaced ran 4, 2 and 5 SLSQP polishes
+    of up to 120 iterations each on these inputs, and took 84-95 ms on
+    certify seed 20, op 56.  The values are those of that search (float.hex),
+    to 1e-12."""
 
     @pytest.mark.parametrize("case,most,value", [
-        ((1, 0, 2, False, 2), 30, "0x1.029ec543bfc90p+3"),
-        ((1, 0, 3, True, 2), 70, "0x1.7f9a699a66d5bp+0"),
+        ((20, 56, 2, False, 2), 16, "0x1.7099ddfb013ecp-1"),
+        ((1, 0, 2, False, 2), 7, "0x1.029ec543bfc90p+3"),
+        ((1, 0, 3, True, 2), 11, "0x1.7f9a699a66d5bp+0"),
     ])
-    def test_seeds_share_their_zoom_evaluations(self, monkeypatch, case, most, value):
-        calls = []
-        signal_leaks = mreduce._signal_leaks
+    def test_one_short_slsqp_solve(self, monkeypatch, case, most, value):
+        minimize, iterations = scipy.optimize.minimize, []
 
-        def counted(*args):
-            calls.append(args)
-            return signal_leaks(*args)
+        def counted(*args, **kwargs):
+            res = minimize(*args, **kwargs)
+            iterations.append(res.nit)
+            return res
 
-        monkeypatch.setattr(mreduce, "_signal_leaks", counted)
+        monkeypatch.setattr(scipy.optimize, "minimize", counted)
         h, caps, p = certify_input(*case)
-        val, _, _ = best_rank_one_sweep(h, caps, p, complex_phases=case[3])
-        assert len(calls) <= most
-        assert float(val).hex() == value
+        val, _ = best_rank_one_sweep(h, caps, p, complex_phases=case[3])
+        assert len(iterations) == 1 and iterations[0] <= most
+        assert val == pytest.approx(float.fromhex(value), rel=1e-12, abs=0.0)
+
+
+class TestSweepInputs:
+    H = np.array([1.0, 0.5, -0.3])
+
+    def test_zero_bound_cap_is_solved_off_its_vector(self):
+        # the cap slack of a search within 1e-9 of each bound put the value
+        # 3.3e-5 above the dual bound, on the zero cap's budget
+        caps = [(np.array([1.0, 1.0, 0.0]), 0.0), (np.array([0.0, 1.0, 0.0]), 0.1)]
+        val, beam = best_rank_one_sweep(self.H, caps, 2.0)
+        dual = general_rank_solve(ConstrainedMaxProblem(
+            target=self.H, caps=tuple((v, b, "upper") for v, b in caps), p=2.0))
+        bound = dual.certificate["dual_value"]
+        assert val == pytest.approx(0.3142792206, rel=1e-9, abs=0.0)
+        assert val <= bound * (1.0 + 1e-12)
+        assert abs(np.vdot(caps[0][0], beam)) <= 1e-14
+
+    @pytest.mark.parametrize("h,caps,p", [
+        (H, [(np.ones(3), np.nan)], 1.0),
+        (H, [(np.ones(3), np.inf)], 1.0),
+        (H, [(np.array([1.0, np.nan, 0.0]), 0.1)], 1.0),
+        (H, [], np.nan),
+        (H, [], np.inf),
+        (np.array([1.0, np.inf, 0.0]), [], 1.0),
+    ], ids=["nan-bound", "inf-bound", "nan-cap-entry", "nan-power", "inf-power", "inf-target"])
+    def test_non_finite_inputs_are_refused(self, h, caps, p):
+        with pytest.raises(ValueError):
+            best_rank_one_sweep(h, caps, p)
+
+    def test_zero_budget_or_target(self):
+        assert best_rank_one_sweep(self.H, [], 0.0)[0] == 0.0
+        val, beam = best_rank_one_sweep(np.zeros(3), [(np.ones(3), 0.5)], 2.0)
+        assert val == 0.0 and not np.any(beam)

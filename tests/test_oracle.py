@@ -47,6 +47,20 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             ConstrainedMaxProblem(target=np.ones(2), p=-1.0)
 
+    @pytest.mark.parametrize("target,caps,p", [
+        (np.ones(2), ((np.ones(2), np.nan, "upper"),), 1.0),
+        (np.ones(2), ((np.ones(2), np.inf, "equality"),), 1.0),
+        (np.ones(2), ((np.array([1.0, np.nan]), 0.1, "upper"),), 1.0),
+        (np.array([1.0, np.inf]), (), 1.0),
+        (np.ones(2), (), np.nan),
+        (np.ones(2), (), np.inf),
+    ], ids=["nan-bound", "inf-bound", "nan-cap-entry", "inf-target", "nan-budget", "inf-budget"])
+    def test_non_finite_entries(self, target, caps, p):
+        # a NaN bound or budget once gave general_rank_solve an uncertified
+        # value with gap NaN, and rank_one_search a NaN value
+        with pytest.raises(ValueError):
+            ConstrainedMaxProblem(target=target, caps=caps, p=p)
+
     def test_complex_detection(self):
         real = ConstrainedMaxProblem(target=np.ones(2))
         cplx = ConstrainedMaxProblem(target=np.array([1.0 + 1j, 0.0]))
